@@ -5,11 +5,18 @@ corresponding suprema: every returned number is the exact objective value at
 the returned ensemble / POVM / state, so re-evaluating the objective at the
 argmax reproduces it.  A deterministic Bloch-grid brute force provides an
 independent cross-check for qubit channels.
+
+On a qubit side the Nelder-Mead objectives work in Bloch coordinates: a
+qubit channel is the affine map n -> T n + t on Bloch vectors, signal states
+are Bloch vectors, effects are Pauli forms E = e0 I + e . sigma, and every
+objective is a few operations on real 3-vectors.  These evaluate the same
+numbers as the matrix route from the same parameters; the matrix route
+stays for every other dimension and for the final exact re-evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,6 +45,10 @@ class OptimizerConfig:
     povm_size_cap: int = 4
 
     def __post_init__(self):
+        if self.restarts < 1:
+            raise InvariantViolation(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iters < 0:
+            raise InvariantViolation(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.tol <= 0:
             raise InvariantViolation("tol must be positive")
         if self.ensemble_size_cap < 2 or self.povm_size_cap < 2:
@@ -281,10 +292,164 @@ def _kernel(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
 def _mi_fixed_weights(weights: np.ndarray, kernel: np.ndarray) -> float:
     """Mutual information of the joint weights x kernel, weights held fixed."""
     q = weights @ kernel
-    mask = kernel > 0.0
+    safe_k = np.where(kernel > 0.0, kernel, 1.0)  # zero entries contribute 0 * finite = 0
     safe_q = np.where(q > 0.0, q, 1.0)
-    logs = np.where(mask, np.log2(np.where(mask, kernel, 1.0)) - np.log2(safe_q)[None, :], 0.0)
-    return float(weights @ np.sum(np.where(mask, kernel * logs, 0.0), axis=1))
+    return float(weights @ (kernel * (np.log2(safe_k) - np.log2(safe_q))).sum(axis=1))
+
+
+def _eig_entropy(lam: np.ndarray) -> np.ndarray:
+    """Entropies (bits) of eigenvalue lists along the last axis; entries at or below EIG_CLIP count 0."""
+    kept = np.where(lam > EIG_CLIP, lam, 1.0)  # 1 log 1 = 0
+    return -(kept * np.log2(kept)).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Qubit objectives in Bloch coordinates
+# ---------------------------------------------------------------------------
+#
+# A qubit state is rho = (I + n . sigma) / 2 and an effect E = e0 I + e . sigma,
+# so Tr(rho E) = e0 + n . e.  Each helper returns, from the same parameters,
+# the Bloch or Pauli form of the matrix its ``*_from_params`` counterpart builds.
+
+_PAULI_STACK = np.stack(PAULI)
+
+
+def _pauli_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e0, e) with M = e0 I + e . sigma, for a stack of 2x2 Hermitian matrices."""
+    e = 0.5 * np.einsum("...ab,kba->...k", mats, _PAULI_STACK).real
+    return 0.5 * np.einsum("...aa->...", mats).real, e
+
+
+def _affine_bloch_map(ch: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
+    """(T, t) such that the qubit channel maps input Bloch vector n to T n + t."""
+    shift = _bloch_of_outputs(ch, np.zeros((1, 3)))
+    return (_bloch_of_outputs(ch, np.eye(3)) - shift).T, shift[0]
+
+
+def _bloch_of_angles(x: np.ndarray) -> np.ndarray:
+    """Bloch vectors (rows) of ``pure_states_from_params(x, 2, n)``."""
+    theta, phi = x[0::2], x[1::2]
+    s = np.sin(theta)
+    out = np.empty((len(theta), 3))
+    out[:, 0], out[:, 1], out[:, 2] = s * np.cos(phi), s * np.sin(phi), np.cos(theta)
+    return out
+
+
+def _bloch_kernel(bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``_kernel`` of the states with these Bloch vectors and the effects in Pauli form."""
+    e0, e = effects
+    return np.maximum(e0 + bloch @ e.T, 0.0)
+
+
+def _povm_pauli_from_params(x: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli form of ``povm_elements_from_params(x, 2, n_out)``.
+
+    The gauge-fixed QR of the two-column matrix g is Gram-Schmidt on its
+    columns.  Where a column vanishes or the columns are (nearly) parallel,
+    the basis is QR's own, so the elements come from the matrix route; so
+    they do for column norms far from 1, where the squares below would
+    leave the floating-point range.
+    """
+    g = np.empty(2 * n_out, dtype=complex)
+    g.real, g.imag = x[: 2 * n_out], x[2 * n_out:]
+    a, b = g[0::2], g[1::2]  # the columns of g
+    aa, bb = np.vdot(a, a).real, np.vdot(b, b).real
+    if 1e-150 < aa < 1e150 and bb < 1e150:
+        u = b - (np.vdot(a, b) / aa) * a
+        uu = np.vdot(u, u).real
+        if uu > max(1e-12 * bb, 1e-150):
+            ac = a.conj()
+            p0, p1 = (ac * a).real / aa, (u.conj() * u).real / uu
+            off = ac * u / np.sqrt(aa * uu)  # element (0, 1) of each E_b
+            w = np.empty((n_out, 3))
+            w[:, 0], w[:, 1], w[:, 2] = off.real, -off.imag, 0.5 * (p0 - p1)
+            return 0.5 * (p0 + p1), w
+    return _pauli_form(povm_elements_from_params(x, 2, n_out))
+
+
+def _density_bloch_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and Bloch vector of ``density_from_params(x, 2)``.
+
+    rho = lam_1 I + (lam_0 - lam_1) q q^dag with q the first column of the
+    gauge-fixed QR of g, i.e. g's first column normalised.  A vanishing first
+    column leaves q to QR, so rho then comes from the matrix route.
+    """
+    logits = x[:2]
+    z = np.exp(logits - logits.max())
+    lam = z / z.sum()
+    if np.sqrt(x[2:] @ x[2:]) < 1e-9:  # density_from_params takes g = I
+        return lam, np.array([0.0, 0.0, lam[0] - lam[1]])
+    p, q, r, s = x[2], x[6], x[4], x[8]  # g[:, 0] = (p + iq, r + is)
+    norm2 = p * p + q * q + r * r + s * s
+    if 1e-300 < norm2 < 1e300:
+        scale = (lam[0] - lam[1]) / norm2
+        return lam, scale * np.array([2.0 * (p * r + q * s), 2.0 * (p * s - q * r), p * p + q * q - r * r - s * s])
+    return lam, 2.0 * _pauli_form(density_from_params(x, 2))[1]
+
+
+def _measured_input_bloch(rho: tuple[np.ndarray, np.ndarray], effects: tuple[np.ndarray, np.ndarray]) -> float:
+    """Measured-input information of a qubit input against pulled-back effects.
+
+    ``rho`` is (eigenvalues, Bloch vector) and ``effects`` the Pauli form of
+    dual(E_b).  The block sqrt(rho) dual(E_b) sqrt(rho) has trace
+    tau_b = Tr(rho dual(E_b)) and determinant det(rho) det(dual(E_b)), which
+    fix its two eigenvalues.
+    """
+    lam, n = rho
+    e0, e = effects
+    tau = np.maximum(e0 + e @ n, 0.0)
+    det = lam[0] * lam[1] * np.maximum(e0 * e0 - (e * e).sum(axis=1), 0.0)
+    half = 0.5 * tau
+    s = np.sqrt(np.maximum(half * half - det, 0.0))
+    block_eigs = np.concatenate([half + s, np.maximum(half - s, 0.0)])
+    return float(_eig_entropy(lam) - _eig_entropy(block_eigs) + _eig_entropy(tau))
+
+
+def _bloch_outputs_of(ch: QuantumChannel):
+    """Signal parameters -> Bloch vectors (rows) of the qubit channel's outputs."""
+    t_mat, shift = _affine_bloch_map(ch)
+    return lambda xs: _bloch_of_angles(xs) @ t_mat.T + shift
+
+
+def _qubit_chi(weights: np.ndarray, bloch_out: np.ndarray) -> float:
+    """Holevo quantity of qubit outputs (Bloch vectors, rows) at fixed weights."""
+    vecs = np.vstack([weights @ bloch_out, bloch_out])
+    radii = np.sqrt((vecs * vecs).sum(axis=1))
+    ent = _eig_entropy(np.stack([0.5 * (1.0 + radii), 0.5 * (1.0 - radii)], axis=1))
+    return float(ent[0] - weights @ ent[1:])
+
+
+def _signal_route(din: int, n_states: int):
+    """(signals, kernel) for the Nelder-Mead objectives.
+
+    ``signals`` maps signal parameters to states and ``kernel`` takes those
+    states and the input-side effects to p(b|j).  On a qubit input the states
+    are Bloch vectors and the effects Pauli forms.
+    """
+    if din == 2:
+        return _bloch_of_angles, _bloch_kernel
+    return (lambda xs: pure_states_from_params(xs, din, n_states)), _kernel
+
+
+def _pulled_back_effects(ch: QuantumChannel, n_out: int):
+    """POVM parameters -> the POVM pulled back to the channel input.
+
+    The effects are in Pauli form on a qubit input, and matrices otherwise.
+    A qubit channel pulls back the Pauli form w0 I + w . sigma as
+    (w0 + w . t) I + (T^T w) . sigma.
+    """
+    din, dout = ch.dim_in, ch.dim_out
+    if (din, dout) == (2, 2):
+        t_mat, shift = _affine_bloch_map(ch)
+
+        def pulled(xm):
+            w0, w = _povm_pauli_from_params(xm, n_out)
+            return w0 + w @ shift, w @ t_mat
+    else:
+        def pulled(xm):
+            duals = _dual_effect_stack(ch, povm_elements_from_params(xm, dout, n_out))
+            return _pauli_form(duals) if din == 2 else duals
+    return pulled
 
 
 def _nelder_mead(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
@@ -334,7 +499,7 @@ _CANONICAL_BASES = {
 }
 
 
-def _state_inits(dim: int, n: int, cfg: OptimizerConfig, rng: np.random.Generator, restart: int) -> np.ndarray:
+def _state_inits(dim: int, n: int, rng: np.random.Generator, restart: int) -> np.ndarray:
     names = list(_CANONICAL_ANGLES)
     if dim == 2 and restart < len(names):
         angles = _CANONICAL_ANGLES[names[restart]]
@@ -352,7 +517,7 @@ def _state_inits(dim: int, n: int, cfg: OptimizerConfig, rng: np.random.Generato
     return rng.normal(scale=1.5, size=n_state_params(dim, n))
 
 
-def _povm_inits(dim: int, n_out: int, cfg: OptimizerConfig, rng: np.random.Generator, restart: int) -> np.ndarray:
+def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) -> np.ndarray:
     names = list(_CANONICAL_BASES)
     if dim == 2 and restart < len(names):
         basis = _CANONICAL_BASES[names[restart]]
@@ -387,11 +552,15 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     n_canon = len(_CANONICAL_ANGLES) if din == 2 else 1
     ns = n_state_params(din, n_states)
     ceiling = np.log2(min(din, dout))
+    signals, kernel = _signal_route(din, n_states)
+    pulled = _pulled_back_effects(ch, n_out)
 
     best = None
+    runs = 0
     for restart in range(cfg.restarts):
         if best is not None and best.value >= ceiling - 1e-11:
             break
+        runs += 1
         rng = _restart_rng(cfg.seed, restart)
         warm = {"w": None}
 
@@ -406,8 +575,8 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
             # start from the coarse grid scan's best two-point configuration
             xs, xm, _ = _witness_inits(ch, n_states, n_out)
         elif restart < n_canon:
-            xs = _state_inits(din, n_states, cfg, rng, restart)
-            xm = _povm_inits(dout, n_out, cfg, rng, restart)
+            xs = _state_inits(din, n_states, rng, restart)
+            xm = _povm_inits(dout, n_out, rng, restart)
         else:
             cat = _best_of_draws(
                 lambda v: ba_value(v[:ns], v[ns:]),
@@ -423,20 +592,10 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
         for _ in range(cfg.max_iters):
             # weights from the sweep-start kernel stay fixed inside both blocks
             w = warm["w"]
-            effects = _dual_effect_stack(ch, povm_elements_from_params(xm, dout, n_out))
-            xs, _ = _nelder_mead(
-                lambda v: -_mi_fixed_weights(w, _kernel(pure_states_from_params(v, din, n_states), effects)),
-                xs,
-                maxfev=60 * len(xs),
-            )
-            states = pure_states_from_params(xs, din, n_states)
-            xm, _ = _nelder_mead(
-                lambda v: -_mi_fixed_weights(
-                    w, _kernel(states, _dual_effect_stack(ch, povm_elements_from_params(v, dout, n_out)))
-                ),
-                xm,
-                maxfev=60 * len(xm),
-            )
+            effects = pulled(xm)
+            xs, _ = _nelder_mead(lambda v: -_mi_fixed_weights(w, kernel(signals(v), effects)), xs, maxfev=60 * len(xs))
+            states = signals(xs)
+            xm, _ = _nelder_mead(lambda v: -_mi_fixed_weights(w, kernel(states, pulled(v))), xm, maxfev=60 * len(xm))
             value = ba_value(xs, xm)
             improved = value - current
             current = max(value, current)
@@ -452,8 +611,8 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
         povm = Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
         if best is None or value > best.value:
-            best = CapacityResult(value, ensemble, povm, None, cfg.restarts, converged)
-    return best
+            best = CapacityResult(value, ensemble, povm, converged=converged)
+    return replace(best, restarts_used=runs)
 
 
 def fixed_measurement_capacity(
@@ -479,10 +638,15 @@ def fixed_measurement_capacity(
     n_canon = len(_CANONICAL_ANGLES) if din == 2 else 1
     ceiling = min(np.log2(din), np.log2(len(m.elements)))
 
+    signals, kernel = _signal_route(din, n_states)
+    input_effects = _pauli_form(effects) if din == 2 else effects
+
     best = None
+    runs = 0
     for restart in range(cfg.restarts):
         if best is not None and best.value >= ceiling - 1e-11:
             break
+        runs += 1
         rng = _restart_rng(cfg.seed, restart)
         warm = {"w": None}
 
@@ -493,7 +657,7 @@ def fixed_measurement_capacity(
             return c
 
         if restart < n_canon:
-            xs = _state_inits(din, n_states, cfg, rng, restart)
+            xs = _state_inits(din, n_states, rng, restart)
         else:
             xs = _best_of_draws(
                 ba_value,
@@ -506,9 +670,7 @@ def fixed_measurement_capacity(
         for _ in range(cfg.max_iters):
             w = warm["w"]
             xs, _ = _nelder_mead(
-                lambda v: -_mi_fixed_weights(w, _kernel(pure_states_from_params(v, din, n_states), effects)),
-                xs,
-                maxfev=60 * len(xs),
+                lambda v: -_mi_fixed_weights(w, kernel(signals(v), input_effects)), xs, maxfev=60 * len(xs)
             )
             value = ba_value(xs)
             improved = value - current
@@ -526,8 +688,8 @@ def fixed_measurement_capacity(
         else:
             value = mutual_information(ensemble, m)
         if best is None or value > best.value:
-            best = CapacityResult(value, ensemble, m, None, cfg.restarts, converged)
-    return best
+            best = CapacityResult(value, ensemble, m, converged=converged)
+    return replace(best, restarts_used=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +697,7 @@ def fixed_measurement_capacity(
 # ---------------------------------------------------------------------------
 
 def _entropy_stack(mats: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(mats)
-    lam = np.clip(lam, 0.0, None)
-    terms = np.where(lam > EIG_CLIP, lam * np.log2(np.where(lam > EIG_CLIP, lam, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    return _eig_entropy(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
 
 
 def _entropy_and_log2_psd2(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -574,8 +733,7 @@ def max_holevo_weights(
     """
     outs = np.asarray(outputs, dtype=complex)
     n = outs.shape[0]
-    lam_j = np.clip(np.linalg.eigvalsh(outs), 0.0, None)
-    s_each = -np.where(lam_j > EIG_CLIP, lam_j * np.log2(np.where(lam_j > EIG_CLIP, lam_j, 1.0)), 0.0).sum(axis=-1)
+    s_each = _entropy_stack(outs)
     if init_weights is not None and len(init_weights) == n and np.min(init_weights) >= 0:
         pi = np.asarray(init_weights, dtype=float) + 1e-10
         pi = pi / pi.sum()
@@ -630,16 +788,25 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         states = pure_states_from_params(xs_, din, n_states)
         return np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
 
-    def chi_fixed(w, outs):
-        avg = np.einsum("j,jab->ab", w, outs)
-        return float(_entropy_stack(avg[None])[0] - w @ _entropy_stack(outs))
+    if (din, ch.dim_out) == (2, 2):
+        bloch_outputs_of = _bloch_outputs_of(ch)
+
+        def chi_fixed(w, xs_):
+            return _qubit_chi(w, bloch_outputs_of(xs_))
+    else:
+        def chi_fixed(w, xs_):
+            outs = outputs_of(xs_)
+            avg = np.einsum("j,jab->ab", w, outs)
+            return float(_entropy_stack(avg[None])[0] - w @ _entropy_stack(outs))
 
     ceiling = np.log2(min(din, ch.dim_out))
 
     best = None
+    runs = 0
     for restart in range(cfg.restarts):
         if best is not None and best.value >= ceiling - 1e-11:
             break
+        runs += 1
         rng = _restart_rng(cfg.seed, restart)
         warm = {"w": None}
 
@@ -649,7 +816,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
             return c
 
         if restart < n_canon:
-            xs = _state_inits(din, n_states, cfg, rng, restart)
+            xs = _state_inits(din, n_states, rng, restart)
         else:
             xs = _best_of_draws(
                 chi_value,
@@ -661,7 +828,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         converged = False
         for _ in range(cfg.max_iters):
             w = warm["w"]
-            xs, _ = _nelder_mead(lambda v: -chi_fixed(w, outputs_of(v)), xs, maxfev=60 * len(xs))
+            xs, _ = _nelder_mead(lambda v: -chi_fixed(w, v), xs, maxfev=60 * len(xs))
             value = chi_value(xs)
             improved = value - current
             current = max(value, current)
@@ -675,8 +842,8 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         ensemble = Ensemble(weights, tuple(states))
         value = holevo_information(ch, ensemble)
         if best is None or value > best.value:
-            best = CapacityResult(value, ensemble, None, None, cfg.restarts, converged)
-    return best
+            best = CapacityResult(value, ensemble, converged=converged)
+    return replace(best, restarts_used=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -695,21 +862,31 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
 
     nr = n_density_params(din)
     ceiling = np.log2(min(din, dout))
+    qubit = (din, dout) == (2, 2)
+
+    # the objective is information(input_of(xr), effects_of(xm))
+    effects_of = _pulled_back_effects(ch, n_out)
+    if din == 2:
+        input_of, information = _density_bloch_from_params, _measured_input_bloch
+    else:
+        information = _measured_input_fast
+
+        def input_of(xr_):
+            return density_from_params(xr_, din)
 
     def value_of(xr_, xm_):
-        rho = density_from_params(xr_, din)
-        elements = povm_elements_from_params(xm_, dout, n_out)
-        return _measured_input_fast(ch, rho, elements)
+        return information(input_of(xr_), effects_of(xm_))
 
     best_x = None
     best_val = -np.inf
     best_conv = False
+    runs = 0
     for restart in range(cfg.restarts):
         if best_val >= ceiling - 1e-11:
             break
+        runs += 1
         rng = _restart_rng(cfg.seed, restart)
 
-        qubit = (din, dout) == (2, 2)
         if restart == 0 and qubit:
             # the coarse grid scan's witness: the weighted two-point average
             # input with its best projective readout
@@ -718,7 +895,7 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
             # maximally mixed input; readout along the channel ellipsoid's
             # dominant output axis when available, the basis otherwise
             xr = np.zeros(nr)
-            xm = _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, cfg, rng, 0)
+            xm = _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)
         else:
             cat = _best_of_draws(
                 lambda v: value_of(v[:nr], v[nr:]),
@@ -733,8 +910,10 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
         current = value_of(xr, xm)
         converged = False
         for _ in range(cfg.max_iters):
-            xr, _ = _nelder_mead(lambda v: -value_of(v, xm), xr, maxfev=60 * len(xr))
-            xm, neg = _nelder_mead(lambda v: -value_of(xr, v), xm, maxfev=60 * len(xm))
+            effects = effects_of(xm)
+            xr, _ = _nelder_mead(lambda v: -information(input_of(v), effects), xr, maxfev=60 * len(xr))
+            rho = input_of(xr)
+            xm, neg = _nelder_mead(lambda v: -information(rho, effects_of(v)), xm, maxfev=60 * len(xm))
             improved = -neg - current
             current = -neg
             if improved < cfg.tol:
@@ -755,7 +934,7 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
         rho = density_from_params(best_x[:nr], din)
         povm = Povm(tuple(povm_elements_from_params(best_x[nr:], dout, n_out)))
         value = measured_input_information(ch, rho, povm)
-    return CapacityResult(value, None, povm, frozen(rho), cfg.restarts, best_conv)
+    return CapacityResult(value, None, povm, frozen(rho), runs, best_conv)
 
 
 def _coarse_qubit_scan(ch: QuantumChannel, density: int = 10):
@@ -829,62 +1008,21 @@ def _witness_inits(ch: QuantumChannel, n_states: int, n_out: int):
 
 def _ellipsoid_povm_init(ch: QuantumChannel, n_out: int) -> np.ndarray:
     """Projective init along the dominant output axis of a qubit channel."""
-    axes = np.eye(3)
-    shift = _bloch_of_outputs(ch, np.zeros((1, 3)))
-    t_matrix = _bloch_of_outputs(ch, axes) - shift
-    u, _, _ = np.linalg.svd(t_matrix.T)
-    n = u[:, 0]
-    proj = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(n, PAULI)))
-    lam, vec = np.linalg.eigh(proj)
-    rows = np.zeros((n_out, 2), dtype=complex)
-    rows[0] = vec[:, np.argmax(lam)].conj()
-    rows[1] = vec[:, np.argmin(lam)].conj()
-    return _povm_params_from_rows(rows)
+    u, _, _ = np.linalg.svd(_affine_bloch_map(ch)[0])
+    return _povm_params_from_rows(_projective_rows(u[:, 0], n_out))
 
 
-def _entropy2_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies (bits) and traces of a stack of 2x2 PSD matrices, closed form."""
-    a = blocks[:, 0, 0].real
-    d = blocks[:, 1, 1].real
-    off = np.abs(blocks[:, 0, 1]) ** 2
-    t = a + d
-    tr_sq = a * a + d * d + 2.0 * off
-    s = np.sqrt(np.clip(0.5 * (tr_sq - 0.5 * t * t), 0.0, None))
-    ent = np.zeros_like(t)
-    for lam in (np.clip(0.5 * t + s, 0.0, None), np.clip(0.5 * t - s, 0.0, None)):
-        ent -= np.where(lam > EIG_CLIP, lam * np.log2(np.where(lam > EIG_CLIP, lam, 1.0)), 0.0)
-    return ent, t
-
-
-def _sqrt_psd2(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 PSD matrix, closed form."""
-    t = max(m[0, 0].real + m[1, 1].real, 0.0)
-    det = max((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real, 0.0)
-    denom = np.sqrt(t + 2.0 * np.sqrt(det))
-    if denom < 1e-150:
-        return np.zeros((2, 2), dtype=complex)
-    return (m + np.sqrt(det) * np.eye(2)) / denom
-
-
-def _measured_input_fast(ch: QuantumChannel, rho: np.ndarray, elements: np.ndarray) -> float:
-    duals = _dual_effect_stack(ch, elements)
-    if rho.shape == (2, 2):
-        root = _sqrt_psd2(rho)
-        blocks = np.einsum("ab,mbc,cd->mad", root, duals, root)
-        ent_blocks, tau = _entropy2_batch(blocks)
-        s_rho = _entropy2_batch(rho[None])[0][0]
-    else:
-        lam, vec = np.linalg.eigh(rho)
-        root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
-        blocks = np.einsum("ab,mbc,cd->mad", root, duals, root)
-        ent_blocks = _entropy_stack(blocks)
-        tau = np.einsum("maa->m", blocks).real
-        s_rho = _entropy_stack(rho[None])[0]
+def _measured_input_fast(rho: np.ndarray, duals: np.ndarray) -> float:
+    """Measured-input information of input ``rho`` against the pulled-back effects ``duals``."""
+    lam, vec = np.linalg.eigh(rho)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    blocks = np.einsum("ab,mbc,cd->mad", root, duals, root)
+    ent_blocks = _entropy_stack(blocks)
+    tau = np.einsum("maa->m", blocks).real
+    s_rho = _entropy_stack(rho[None])[0]
     tau = np.clip(tau, 0.0, None)
     ent_blocks = np.where(tau > 1e-12, ent_blocks, 0.0)
-    tau_pos = tau[tau > EIG_CLIP]
-    s_tau = float(-(tau_pos * np.log2(tau_pos)).sum()) if tau_pos.size else 0.0
-    return float(s_rho - ent_blocks.sum() + s_tau)
+    return float(s_rho - ent_blocks.sum() + _eig_entropy(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -893,11 +1031,10 @@ def _measured_input_fast(ch: QuantumChannel, rho: np.ndarray, elements: np.ndarr
 
 def _bloch_of_outputs(ch: QuantumChannel, bloch_in: np.ndarray) -> np.ndarray:
     """Map input Bloch vectors through the channel, returning output Bloch vectors."""
-    pauli = np.stack(PAULI)
-    states = 0.5 * (np.eye(2, dtype=complex)[None] + np.einsum("jk,kab->jab", bloch_in, pauli))
+    states = 0.5 * (np.eye(2, dtype=complex)[None] + np.einsum("jk,kab->jab", bloch_in, _PAULI_STACK))
     kr = np.stack(ch.kraus)
     outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
-    return np.einsum("jab,kba->jk", outs, pauli).real
+    return np.einsum("jab,kba->jk", outs, _PAULI_STACK).real
 
 
 def _grid_directions(density: int) -> np.ndarray:

@@ -32,11 +32,6 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
-
-
 def hermitize(m: np.ndarray, atol: float = ATOL_HERMITIAN) -> np.ndarray:
     """Return the Hermitian part (m + m†)/2, rejecting inputs that are not
     Hermitian to within ``atol``."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chancap import capacity as cap
 from chancap.capacity import (
     CapacityResult,
     OptimizerConfig,
@@ -29,6 +30,7 @@ from chancap.channels import (
     completely_noisy_channel,
     depolarizing_channel,
     identity_channel,
+    measured_channel,
     random_channel,
     trine_povm,
 )
@@ -105,6 +107,11 @@ class TestParametrisations:
             OptimizerConfig(tol=0.0)
         with pytest.raises(InvariantViolation):
             OptimizerConfig(ensemble_size_cap=1)
+        with pytest.raises(InvariantViolation):
+            OptimizerConfig(restarts=0)
+        with pytest.raises(InvariantViolation):
+            OptimizerConfig(max_iters=-1)
+        assert OptimizerConfig(restarts=1, max_iters=0).max_iters == 0
 
 
 class TestQubitEffect:
@@ -287,3 +294,136 @@ class TestFixedMeasurement:
         res = fixed_measurement_capacity(identity_channel(2), trine_povm(), QUICK)
         assert isinstance(res, CapacityResult)
         assert res.restarts_used == QUICK.restarts
+
+
+class TestRestartsUsed:
+    CFG = OptimizerConfig(restarts=3, max_iters=4, tol=1e-6, seed=11)
+
+    def test_identity_stops_after_one_restart(self):
+        # the first restart reaches the capacity ceiling of 1 bit
+        for estimator in (holevo_capacity, measured_input_bound):
+            res = estimator(identity_channel(2), self.CFG)
+            assert abs(res.value - 1.0) < 1e-11
+            assert res.restarts_used == 1
+
+    def test_full_budget_without_early_stop(self):
+        ch = depolarizing_channel(0.5)
+        for estimator in (shannon_capacity, holevo_capacity, measured_input_bound):
+            assert estimator(ch, self.CFG).restarts_used == self.CFG.restarts
+
+
+def _chi_matrix_route(ch, weights, states):
+    kr = np.stack(ch.kraus)
+    outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
+    avg = np.einsum("j,jab->ab", weights, outs)
+    return cap._entropy_stack(avg[None])[0] - weights @ cap._entropy_stack(outs)
+
+
+class TestBlochObjectives:
+    """The qubit Nelder-Mead objectives equal the matrix route at the same parameters."""
+
+    N_STATES, N_OUT = 4, 4
+
+    def degenerate_povm_params(self):
+        x = np.random.default_rng(20).normal(size=n_povm_params(2, self.N_OUT))
+        zero_first = x.copy()
+        zero_first[0:8:2] = zero_first[8::2] = 0.0
+        parallel = x.copy()
+        parallel[1:8:2], parallel[9::2] = 2.0 * x[0:8:2], 2.0 * x[8::2]
+        nearly_parallel = parallel + 1e-10 * np.random.default_rng(26).normal(size=x.size)
+        zero_second = x.copy()
+        zero_second[1:8:2] = zero_second[9::2] = 0.0
+        return [np.zeros_like(x), zero_first, parallel, nearly_parallel, zero_second, 1e-140 * x, 1e140 * x]
+
+    def degenerate_density_params(self):
+        x = np.random.default_rng(21).normal(size=n_density_params(2))
+        zero_first = x.copy()
+        zero_first[[2, 4, 6, 8]] = 0.0  # first column of g
+        tiny_g = x.copy()
+        tiny_g[2:] = 1e-11  # ||g|| < 1e-9: the identity fallback
+        pure = x.copy()
+        pure[:2] = [0.0, -800.0]
+        mixed = x.copy()
+        mixed[:2] = 0.0
+        pure_zero_first = zero_first.copy()
+        pure_zero_first[:2] = [0.0, -800.0]
+        tiny_first = x.copy()
+        tiny_first[[2, 4, 6, 8]] *= 1e-155
+        return [np.zeros_like(x), zero_first, tiny_g, pure, mixed, pure_zero_first, tiny_first]
+
+    def cases(self, n_cases=12):
+        rng = np.random.default_rng(22)
+        for i in range(n_cases):
+            ch = random_channel(2, 1 + i % 4, seed=300 + i)
+            yield (
+                ch,
+                rng.dirichlet(np.ones(self.N_STATES)),
+                rng.normal(scale=1.5, size=n_state_params(2, self.N_STATES)),
+                rng.normal(size=n_povm_params(2, self.N_OUT)),
+                rng.normal(size=n_density_params(2)),
+            )
+
+    def test_pauli_povm_matches_qr(self):
+        rng = np.random.default_rng(23)
+        for x in [rng.normal(size=n_povm_params(2, self.N_OUT)) for _ in range(20)] + self.degenerate_povm_params():
+            w0, w = cap._povm_pauli_from_params(x, self.N_OUT)
+            assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w))
+            rebuilt = w0[:, None, None] * np.eye(2) + np.einsum("bk,kij->bij", w, np.stack(cap.PAULI))
+            np.testing.assert_allclose(rebuilt, povm_elements_from_params(x, 2, self.N_OUT), atol=1e-12)
+
+    def test_density_bloch_matches_qr(self):
+        rng = np.random.default_rng(24)
+        for x in [rng.normal(size=n_density_params(2)) for _ in range(20)] + self.degenerate_density_params():
+            lam, n = cap._density_bloch_from_params(x)
+            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(n))
+            rebuilt = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", n, np.stack(cap.PAULI)))
+            np.testing.assert_allclose(rebuilt, density_from_params(x, 2), atol=1e-12)
+
+    def test_shannon_kernel(self):
+        signals, kernel = cap._signal_route(2, self.N_STATES)
+        for ch, w, xs, xm, _ in self.cases():
+            pulled = cap._pulled_back_effects(ch, self.N_OUT)
+            states = pure_states_from_params(xs, 2, self.N_STATES)
+            for xm_ in [xm] + self.degenerate_povm_params():
+                got = kernel(signals(xs), pulled(xm_))
+                want = cap._kernel(states, cap._dual_effect_stack(ch, povm_elements_from_params(xm_, 2, self.N_OUT)))
+                assert np.all(np.isfinite(got))
+                np.testing.assert_allclose(got, want, atol=1e-12)
+                assert abs(cap._mi_fixed_weights(w, got) - cap._mi_fixed_weights(w, want)) < 1e-12
+
+    def test_holevo_chi(self):
+        for ch, w, xs, _, _ in self.cases():
+            got = cap._qubit_chi(w, cap._bloch_outputs_of(ch)(xs))
+            want = _chi_matrix_route(ch, w, pure_states_from_params(xs, 2, self.N_STATES))
+            assert np.isfinite(got)
+            assert abs(got - want) < 1e-12
+
+    def test_measured_input(self):
+        for ch, _, _, xm, xr in self.cases():
+            pulled = cap._pulled_back_effects(ch, self.N_OUT)
+            for xm_ in [xm] + self.degenerate_povm_params():
+                povm = Povm(tuple(povm_elements_from_params(xm_, 2, self.N_OUT)))
+                for xr_ in [xr] + self.degenerate_density_params():
+                    got = cap._measured_input_bloch(cap._density_bloch_from_params(xr_), pulled(xm_))
+                    want = measured_input_information(ch, density_from_params(xr_, 2), povm)
+                    assert np.isfinite(got)
+                    assert abs(got - want) < 1e-12
+
+    def test_measured_input_wider_output(self):
+        # dim_in 2, dim_out 3: the pulled-back effects come from the matrix route
+        rng = np.random.default_rng(25)
+        for seed in range(4):
+            ch = measured_channel(random_channel(2, 2, seed=310 + seed), trine_povm())
+            assert (ch.dim_in, ch.dim_out) == (2, 3)
+            xm = rng.normal(size=n_povm_params(3, 4))
+            elements = povm_elements_from_params(xm, 3, 4)
+            effects = cap._pulled_back_effects(ch, 4)(xm)
+            for xr in [rng.normal(size=n_density_params(2))] + self.degenerate_density_params():
+                got = cap._measured_input_bloch(cap._density_bloch_from_params(xr), effects)
+                want = measured_input_information(ch, density_from_params(xr, 2), Povm(tuple(elements)))
+                assert abs(got - want) < 1e-12
+
+    def test_wider_output_estimate_reproduces_value(self):
+        ch = measured_channel(random_channel(2, 2, seed=320), trine_povm())
+        res = measured_input_bound(ch, QUICK)
+        assert abs(measured_input_information(ch, res.argmax_rho, res.argmax_povm) - res.value) < 1e-12

@@ -145,6 +145,15 @@ class TestSweepCommand:
         header = open(out).readline().strip().split(",")
         assert header == ["param", "shannon", "holevo", "uep", "holevo_minus_shannon", "strict_gap"]
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_bad_step_rejected_before_the_loop(self, capsys, step):
+        code = main(["sweep", "--family", "bit-flip", "--step", step] + FAST)
+        assert code == EXIT_USAGE
+        assert "--step" in capsys.readouterr().err
+
+    def test_non_finite_range_rejected(self, capsys):
+        assert main(["sweep", "--family", "bit-flip", "--stop", "inf"] + FAST) == EXIT_USAGE
+
     def test_uncomputed_columns_are_nan(self, capsys):
         _, report = run(
             capsys,
@@ -153,6 +162,19 @@ class TestSweepCommand:
         )
         row = result_value(report, "rows")[0]
         assert row["holevo"] != row["holevo"]  # NaN
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("which", ["shannon", "holevo", "uep"])
+    def test_zero_restarts(self, capsys, identity_spec, which):
+        code = main(["capacity", identity_spec, "--which", which, "--restarts", "0"])
+        assert code == EXIT_INVARIANT
+        assert "restarts" in capsys.readouterr().err
+
+    def test_negative_max_iters(self, capsys, identity_spec):
+        code = main(["capacity", identity_spec, "--max-iters", "-1"])
+        assert code == EXIT_INVARIANT
+        assert "max_iters" in capsys.readouterr().err
 
 
 class TestChannelInfoCommand:
