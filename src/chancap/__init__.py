@@ -31,7 +31,6 @@ from .channels import (
     load_channel,
     measured_channel,
     measurement_channel,
-    n_fold_channel,
     omega_channel,
     phase_damping_channel,
     pretty_good_measurement,

@@ -23,10 +23,10 @@ from .capacity import (
     pure_states_from_params,
     shannon_capacity,
     _best_of_draws,
+    _best_restart,
+    _block_ascent,
     _kernel,
     _mi_fixed_weights,
-    _nelder_mead,
-    _restart_rng,
 )
 from .channels import PAULI, Povm, QuantumChannel, dual_povm, projective_povm
 from .errors import DimensionMismatchError, InvariantViolation
@@ -259,13 +259,22 @@ def best_conditional_information(
         flat = flatten(dual_conditional(channels, strat))
         return np.stack(flat.elements), strat
 
-    def value_and_weights(xs, effects):
-        kern = _kernel(pure_states_from_params(xs, dim_total, n_states), effects)
-        return blahut_arimoto(kern, tol=1e-9, max_iters=250)
+    last = {"w": None}  # weights of the last value call, held fixed inside both blocks of a sweep
 
-    best = None
-    for restart in range(cfg.restarts):
-        rng = _restart_rng(cfg.seed, restart)
+    def value(xs, xm):
+        kern = _kernel(pure_states_from_params(xs, dim_total, n_states), effects_of(xm)[0])
+        c, last["w"] = blahut_arimoto(kern, tol=1e-9, max_iters=250)
+        return c
+
+    def state_block(_, xm):
+        w, effects = last["w"], effects_of(xm)[0]
+        return lambda v: _mi_fixed_weights(w, _kernel(pure_states_from_params(v, dim_total, n_states), effects))
+
+    def strategy_block(xs, _):
+        w, states = last["w"], pure_states_from_params(xs, dim_total, n_states)
+        return lambda v: _mi_fixed_weights(w, _kernel(states, effects_of(v)[0]))
+
+    def run(restart, rng):
         if restart == 0 and init_strategy is not None:
             xm = _strategy_params_of(init_strategy)
             xs = (
@@ -275,54 +284,24 @@ def best_conditional_information(
             )
         else:
             cat = _best_of_draws(
-                lambda v: value_and_weights(v[:ns], effects_of(v[ns:])[0])[0],
+                lambda v: value(v[:ns], v[ns:]),
                 lambda r: np.concatenate([r.normal(scale=1.0, size=ns), r.normal(size=nm)]),
                 rng,
                 n_draws=12,
             )
             xs, xm = cat[:ns], cat[ns:]
 
-        effects, _ = effects_of(xm)
-        current, _ = value_and_weights(xs, effects)
-        for _ in range(cfg.max_iters):
-            w = value_and_weights(xs, effects)[1]
-            xs, _ = _nelder_mead(
-                lambda v: -_fixed_weight_mi(w, v, dim_total, n_states, effects),
-                xs,
-                maxfev=50 * len(xs),
-            )
-            states = pure_states_from_params(xs, dim_total, n_states)
-            xm, _ = _nelder_mead(
-                lambda v: -_fixed_weight_mi_effects(w, states, effects_of(v)[0]),
-                xm,
-                maxfev=50 * len(xm),
-            )
-            effects, _ = effects_of(xm)
-            value, _ = value_and_weights(xs, effects)
-            improved = value - current
-            current = max(value, current)
-            if improved < cfg.tol:
-                break
+        (xs, xm), _, _ = _block_ascent([xs, xm], value, [state_block, strategy_block], cfg, maxfev_per_param=50)
 
         effects, strat = effects_of(xm)
-        kern = _kernel(pure_states_from_params(xs, dim_total, n_states), effects)
-        value, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
-        if best is None or value > best[0]:
-            ens = Ensemble(weights, tuple(pure_states_from_params(xs, dim_total, n_states)))
-            best = (value, ens, strat)
-    value, ens, strat = best
+        states = pure_states_from_params(xs, dim_total, n_states)
+        c, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000)
+        return c, (Ensemble(weights, tuple(states)), strat)
+
+    _, (ens, strat), _ = _best_restart(run, cfg)
     flat = flatten(dual_conditional(channels, strat))
     exact = mutual_information(ens, flat)
     return exact, ens, strat
-
-
-def _fixed_weight_mi(w, xs, dim, n_states, effects):
-    kern = _kernel(pure_states_from_params(xs, dim, n_states), effects)
-    return _mi_fixed_weights(w, kern)
-
-
-def _fixed_weight_mi_effects(w, states, effects):
-    return _mi_fixed_weights(w, _kernel(states, effects))
 
 
 def _state_params_of(e: Ensemble, dim: int, n_states: int) -> np.ndarray:
@@ -387,13 +366,7 @@ def product_strategy_value(
     r2: CapacityResult,
 ) -> float:
     """Information of the product ensemble and unconditioned product POVM."""
-    probs = np.outer(r1.argmax_ensemble.probs, r2.argmax_ensemble.probs).ravel()
-    states = tuple(
-        tensor(s1, s2) for s1 in r1.argmax_ensemble.states for s2 in r2.argmax_ensemble.states
-    )
-    flat = Povm(
-        tuple(tensor(a, b) for a in r1.argmax_povm.elements for b in r2.argmax_povm.elements)
-    )
+    states = _product_ensemble(r1, r2).states
     dual = Povm(
         tuple(
             tensor(ea, eb)
@@ -402,9 +375,8 @@ def product_strategy_value(
         )
     )
     kern = _kernel(np.stack(states), np.stack(dual.elements))
-    value, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
-    ens = Ensemble(weights, states)
-    return mutual_information(ens, dual)
+    _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
+    return mutual_information(Ensemble(weights, states), dual)
 
 
 def additivity_experiment(

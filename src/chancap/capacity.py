@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import PAULI, Povm, QuantumChannel, dual_povm, measured_channel
+from .channels import PAULI, Povm, QuantumChannel, measured_channel
 from .errors import DimensionMismatchError, InvariantViolation
 from .information import (
     Ensemble,
@@ -30,7 +30,7 @@ from .information import (
     measured_input_information,
     mutual_information,
 )
-from .linalg import EIG_CLIP, entropy, frozen
+from .linalg import EIG_CLIP, frozen
 
 
 @dataclass(frozen=True)
@@ -452,18 +452,56 @@ def _pulled_back_effects(ch: QuantumChannel, n_out: int):
     return pulled
 
 
-def _nelder_mead(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
+def _nelder_mead(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
+    """Best vertex of an adaptive Nelder-Mead minimisation of ``fun`` from ``x0``."""
     res = minimize(
         fun,
         np.asarray(x0, dtype=float),
         method="Nelder-Mead",
         options={"maxfev": int(maxfev), "xatol": 1e-7, "fatol": 1e-11, "adaptive": True},
     )
-    return res.x, float(res.fun)
+    return res.x
 
 
-def _restart_rng(seed: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng([seed, restart])
+def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, maxfev_per_param: int = 60):
+    """Alternating Nelder-Mead ascent over parameter blocks.
+
+    A sweep maximises ``block_objectives[i](*blocks)``, a function of block i
+    alone built with the other blocks held, for each block in turn, then
+    takes ``sweep_value(*blocks)``; the search stops once a sweep gains less
+    than ``cfg.tol``.  Returns the blocks, the best sweep value and whether
+    that test (rather than ``cfg.max_iters``) ended the search.
+    """
+    blocks = list(blocks)
+    current = sweep_value(*blocks)
+    for _ in range(cfg.max_iters):
+        for i, make_objective in enumerate(block_objectives):
+            objective = make_objective(*blocks)
+            blocks[i] = _nelder_mead(
+                lambda v: -objective(v), blocks[i], maxfev=maxfev_per_param * len(blocks[i])
+            )
+        value = sweep_value(*blocks)
+        improved = value - current
+        current = max(value, current)
+        if improved < cfg.tol:
+            return blocks, current, True
+    return blocks, current, False
+
+
+def _best_restart(run, cfg: OptimizerConfig, ceiling: float = np.inf):
+    """Best ``(value, point) = run(restart, rng)`` over ``cfg.restarts`` seeded restarts.
+
+    No further restart runs once the best value is within 1e-11 of ``ceiling``.
+    Returns the best value, its point and the number of restarts run.
+    """
+    best = None
+    for restart in range(cfg.restarts):
+        if best is not None and best[0] >= ceiling - 1e-11:
+            return best + (restart,)
+        value, point = run(restart, np.random.default_rng([cfg.seed, restart]))
+        if best is None or value > best[0]:
+            best = (value, point)
+    return best + (cfg.restarts,)
 
 
 def _best_of_draws(objective, draw, rng: np.random.Generator, n_draws: int = 24) -> np.ndarray:
@@ -499,22 +537,31 @@ _CANONICAL_BASES = {
 }
 
 
-def _state_inits(dim: int, n: int, rng: np.random.Generator, restart: int) -> np.ndarray:
-    names = list(_CANONICAL_ANGLES)
-    if dim == 2 and restart < len(names):
-        angles = _CANONICAL_ANGLES[names[restart]]
+def _n_canonical_inits(dim: int) -> int:
+    return len(_CANONICAL_ANGLES) if dim == 2 else 1
+
+
+def _state_inits(dim: int, n: int, restart: int) -> np.ndarray:
+    """Canonical signal parameters of a restart below ``_n_canonical_inits(dim)``."""
+    if dim == 2:
+        angles = list(_CANONICAL_ANGLES.values())[restart]
         x = np.zeros(2 * n)
         for j in range(n):
             t, p = angles[j % len(angles)]
             x[2 * j], x[2 * j + 1] = t, p
         return x
-    if dim != 2 and restart == 0:
-        x = np.zeros(n_state_params(dim, n))
-        per = 2 * dim
-        for j in range(n):
-            x[per * j + (j % dim)] = 1.0
-        return x
-    return rng.normal(scale=1.5, size=n_state_params(dim, n))
+    x = np.zeros(n_state_params(dim, n))
+    per = 2 * dim
+    for j in range(n):
+        x[per * j + (j % dim)] = 1.0
+    return x
+
+
+def _signal_inits(dim: int, n: int, restart: int, rng: np.random.Generator, value) -> np.ndarray:
+    """Canonical signals for the first restarts, then the best random draw under ``value``."""
+    if restart < _n_canonical_inits(dim):
+        return _state_inits(dim, n, restart)
+    return _best_of_draws(value, lambda r: r.normal(scale=1.5, size=n_state_params(dim, n)), rng)
 
 
 def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) -> np.ndarray:
@@ -549,19 +596,11 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     n_states = max(cfg.ensemble_size_cap, 2)
     n_out = max(cfg.povm_size_cap, dout)
 
-    n_canon = len(_CANONICAL_ANGLES) if din == 2 else 1
     ns = n_state_params(din, n_states)
-    ceiling = np.log2(min(din, dout))
     signals, kernel = _signal_route(din, n_states)
     pulled = _pulled_back_effects(ch, n_out)
 
-    best = None
-    runs = 0
-    for restart in range(cfg.restarts):
-        if best is not None and best.value >= ceiling - 1e-11:
-            break
-        runs += 1
-        rng = _restart_rng(cfg.seed, restart)
+    def run(restart, rng):
         warm = {"w": None}
 
         def ba_value(xs_, xm_):
@@ -574,8 +613,8 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
         if restart == 0 and (din, dout) == (2, 2):
             # start from the coarse grid scan's best two-point configuration
             xs, xm, _ = _witness_inits(ch, n_states, n_out)
-        elif restart < n_canon:
-            xs = _state_inits(din, n_states, rng, restart)
+        elif restart < _n_canonical_inits(din):
+            xs = _state_inits(din, n_states, restart)
             xm = _povm_inits(dout, n_out, rng, restart)
         else:
             cat = _best_of_draws(
@@ -587,21 +626,16 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
             )
             xs, xm = cat[:ns], cat[ns:]
 
-        current = ba_value(xs, xm)
-        converged = False
-        for _ in range(cfg.max_iters):
-            # weights from the sweep-start kernel stay fixed inside both blocks
-            w = warm["w"]
-            effects = pulled(xm)
-            xs, _ = _nelder_mead(lambda v: -_mi_fixed_weights(w, kernel(signals(v), effects)), xs, maxfev=60 * len(xs))
-            states = signals(xs)
-            xm, _ = _nelder_mead(lambda v: -_mi_fixed_weights(w, kernel(states, pulled(v))), xm, maxfev=60 * len(xm))
-            value = ba_value(xs, xm)
-            improved = value - current
-            current = max(value, current)
-            if improved < cfg.tol:
-                converged = True
-                break
+        # weights from the sweep-start kernel stay fixed inside both blocks
+        def signal_block(_, xm_):
+            w, effects = warm["w"], pulled(xm_)
+            return lambda v: _mi_fixed_weights(w, kernel(signals(v), effects))
+
+        def povm_block(xs_, _):
+            w, states = warm["w"], signals(xs_)
+            return lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)))
+
+        (xs, xm), _, converged = _block_ascent([xs, xm], ba_value, [signal_block, povm_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
         elements = povm_elements_from_params(xm, dout, n_out)
@@ -610,8 +644,9 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
         ensemble = Ensemble(weights, tuple(states))
         povm = Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
-        if best is None or value > best.value:
-            best = CapacityResult(value, ensemble, povm, converged=converged)
+        return value, CapacityResult(value, ensemble, povm, converged=converged)
+
+    _, best, runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
     return replace(best, restarts_used=runs)
 
 
@@ -635,19 +670,10 @@ def fixed_measurement_capacity(
         din = dim if dim is not None else m.dim
     n_states = max(cfg.ensemble_size_cap, 2)
 
-    n_canon = len(_CANONICAL_ANGLES) if din == 2 else 1
-    ceiling = min(np.log2(din), np.log2(len(m.elements)))
-
     signals, kernel = _signal_route(din, n_states)
     input_effects = _pauli_form(effects) if din == 2 else effects
 
-    best = None
-    runs = 0
-    for restart in range(cfg.restarts):
-        if best is not None and best.value >= ceiling - 1e-11:
-            break
-        runs += 1
-        rng = _restart_rng(cfg.seed, restart)
+    def run(restart, rng):
         warm = {"w": None}
 
         def ba_value(xs_):
@@ -656,28 +682,13 @@ def fixed_measurement_capacity(
             warm["w"] = w
             return c
 
-        if restart < n_canon:
-            xs = _state_inits(din, n_states, rng, restart)
-        else:
-            xs = _best_of_draws(
-                ba_value,
-                lambda r: r.normal(scale=1.5, size=n_state_params(din, n_states)),
-                rng,
-            )
+        xs = _signal_inits(din, n_states, restart, rng, ba_value)
 
-        current = ba_value(xs)
-        converged = False
-        for _ in range(cfg.max_iters):
+        def signal_block(_):
             w = warm["w"]
-            xs, _ = _nelder_mead(
-                lambda v: -_mi_fixed_weights(w, kernel(signals(v), input_effects)), xs, maxfev=60 * len(xs)
-            )
-            value = ba_value(xs)
-            improved = value - current
-            current = max(value, current)
-            if improved < cfg.tol:
-                converged = True
-                break
+            return lambda v: _mi_fixed_weights(w, kernel(signals(v), input_effects))
+
+        (xs,), _, converged = _block_ascent([xs], ba_value, [signal_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
         kern = _kernel(states, effects)
@@ -687,8 +698,9 @@ def fixed_measurement_capacity(
             value = channel_mutual_information(ch, ensemble, m)
         else:
             value = mutual_information(ensemble, m)
-        if best is None or value > best.value:
-            best = CapacityResult(value, ensemble, m, converged=converged)
+        return value, CapacityResult(value, ensemble, m, converged=converged)
+
+    _, best, runs = _best_restart(run, cfg, ceiling=min(np.log2(din), np.log2(len(m.elements))))
     return replace(best, restarts_used=runs)
 
 
@@ -782,8 +794,6 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     n_states = max(cfg.ensemble_size_cap, 2)
     kr = np.stack(ch.kraus)
 
-    n_canon = len(_CANONICAL_ANGLES) if din == 2 else 1
-
     def outputs_of(xs_):
         states = pure_states_from_params(xs_, din, n_states)
         return np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
@@ -799,15 +809,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
             avg = np.einsum("j,jab->ab", w, outs)
             return float(_entropy_stack(avg[None])[0] - w @ _entropy_stack(outs))
 
-    ceiling = np.log2(min(din, ch.dim_out))
-
-    best = None
-    runs = 0
-    for restart in range(cfg.restarts):
-        if best is not None and best.value >= ceiling - 1e-11:
-            break
-        runs += 1
-        rng = _restart_rng(cfg.seed, restart)
+    def run(restart, rng):
         warm = {"w": None}
 
         def chi_value(xs_):
@@ -815,34 +817,22 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
             warm["w"] = w
             return c
 
-        if restart < n_canon:
-            xs = _state_inits(din, n_states, rng, restart)
-        else:
-            xs = _best_of_draws(
-                chi_value,
-                lambda r: r.normal(scale=1.5, size=n_state_params(din, n_states)),
-                rng,
-            )
+        xs = _signal_inits(din, n_states, restart, rng, chi_value)
 
-        current = chi_value(xs)
-        converged = False
-        for _ in range(cfg.max_iters):
+        def signal_block(_):
             w = warm["w"]
-            xs, _ = _nelder_mead(lambda v: -chi_fixed(w, v), xs, maxfev=60 * len(xs))
-            value = chi_value(xs)
-            improved = value - current
-            current = max(value, current)
-            if improved < cfg.tol:
-                converged = True
-                break
+            return lambda v: chi_fixed(w, v)
+
+        (xs,), _, converged = _block_ascent([xs], chi_value, [signal_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
         outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
         _, weights = max_holevo_weights(outs, tol=1e-11, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
         value = holevo_information(ch, ensemble)
-        if best is None or value > best.value:
-            best = CapacityResult(value, ensemble, converged=converged)
+        return value, CapacityResult(value, ensemble, converged=converged)
+
+    _, best, runs = _best_restart(run, cfg, ceiling=np.log2(min(din, ch.dim_out)))
     return replace(best, restarts_used=runs)
 
 
@@ -861,7 +851,6 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     n_out = max(cfg.povm_size_cap, dout)
 
     nr = n_density_params(din)
-    ceiling = np.log2(min(din, dout))
     qubit = (din, dout) == (2, 2)
 
     # the objective is information(input_of(xr), effects_of(xm))
@@ -877,16 +866,15 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     def value_of(xr_, xm_):
         return information(input_of(xr_), effects_of(xm_))
 
-    best_x = None
-    best_val = -np.inf
-    best_conv = False
-    runs = 0
-    for restart in range(cfg.restarts):
-        if best_val >= ceiling - 1e-11:
-            break
-        runs += 1
-        rng = _restart_rng(cfg.seed, restart)
+    def input_block(_, xm_):
+        effects = effects_of(xm_)
+        return lambda v: information(input_of(v), effects)
 
+    def povm_block(xr_, _):
+        rho = input_of(xr_)
+        return lambda v: information(rho, effects_of(v))
+
+    def run(restart, rng):
         if restart == 0 and qubit:
             # the coarse grid scan's witness: the weighted two-point average
             # input with its best projective readout
@@ -907,24 +895,13 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
             )
             xr, xm = cat[:nr], cat[nr:]
 
-        current = value_of(xr, xm)
-        converged = False
-        for _ in range(cfg.max_iters):
-            effects = effects_of(xm)
-            xr, _ = _nelder_mead(lambda v: -information(input_of(v), effects), xr, maxfev=60 * len(xr))
-            rho = input_of(xr)
-            xm, neg = _nelder_mead(lambda v: -information(rho, effects_of(v)), xm, maxfev=60 * len(xm))
-            improved = -neg - current
-            current = -neg
-            if improved < cfg.tol:
-                converged = True
-                break
+        (xr, xm), value, converged = _block_ascent([xr, xm], value_of, [input_block, povm_block], cfg)
+        return value, (np.concatenate([xr, xm]), converged)
 
-        if current > best_val:
-            best_x, best_val, best_conv = np.concatenate([xr, xm]), current, converged
+    best_val, (best_x, best_conv), runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
 
     # joint polish of the winning restart removes residual block zigzag
-    cat, _ = _nelder_mead(
+    cat = _nelder_mead(
         lambda v: -value_of(v[:nr], v[nr:]), best_x, maxfev=45 * len(best_x)
     )
     rho = density_from_params(cat[:nr], din)
@@ -945,24 +922,13 @@ def _coarse_qubit_scan(ch: QuantumChannel, density: int = 10):
     extreme signal directions achieving it, their Blahut-Arimoto weights and
     the measurement direction.
     """
-    grid = _grid_directions(density)
-    bloch_out = _bloch_of_outputs(ch, grid)
-    meas = grid[grid[:, 2] > 1e-12]
-    meas = np.vstack([meas, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-    p = np.clip(0.5 * (1.0 + bloch_out @ meas.T), 0.0, 1.0)
     best = (-1.0, None)
-    for col in range(meas.shape[0]):
-        jlo, jhi = int(np.argmin(p[:, col])), int(np.argmax(p[:, col]))
-        lo, hi = float(p[jlo, col]), float(p[jhi, col])
-        if hi - lo < 1e-12:
-            continue
-        c, w = blahut_arimoto(
-            np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]]), tol=1e-9, max_iters=300
-        )
+    for b_lo, b_hi, n, kern in _two_point_kernels(ch, density):
+        c, w = blahut_arimoto(kern, tol=1e-9, max_iters=300)
         if c > best[0]:
-            best = (c, (grid[jlo], grid[jhi], w, meas[col]))
+            best = (c, (b_lo, b_hi, w, n))
     if best[1] is None:
-        return 0.0, grid[0], grid[1], np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0])
+        return 0.0, *_grid_directions(density)[:2], np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0])
     value, (b_lo, b_hi, w, n) = best
     return value, b_lo, b_hi, w, n
 
@@ -1047,6 +1013,25 @@ def _grid_directions(density: int) -> np.ndarray:
     return np.stack(pts)
 
 
+def _two_point_kernels(ch: QuantumChannel, density: int):
+    """Binary-readout kernels of the grid's pure states, one per measurement direction.
+
+    The directions keep one of each antipodal grid pair.  For each direction
+    whose outcome probabilities are not all equal, yields the two grid
+    directions with the extreme probabilities, the measurement direction and
+    the 2x2 kernel of those extremes.
+    """
+    grid = _grid_directions(density)
+    meas = grid[grid[:, 2] > 1e-12]
+    meas = np.vstack([meas, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    p = np.clip(0.5 * (1.0 + _bloch_of_outputs(ch, grid) @ meas.T), 0.0, 1.0)
+    for col in range(meas.shape[0]):
+        jlo, jhi = int(np.argmin(p[:, col])), int(np.argmax(p[:, col]))
+        lo, hi = float(p[jlo, col]), float(p[jhi, col])
+        if hi - lo >= 1e-12:
+            yield grid[jlo], grid[jhi], meas[col], np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
+
+
 def qubit_grid_oracle(
     ch: QuantumChannel, grid_density: int, ensemble_size: int = 2, povm_arity: int = 2
 ) -> float:
@@ -1068,23 +1053,13 @@ def qubit_grid_oracle(
     if povm_arity > ensemble_size:
         raise InvariantViolation("povm_arity must not exceed ensemble_size")
 
-    grid = _grid_directions(grid_density)
-    bloch_out = _bloch_of_outputs(ch, grid)
-
     best = 0.0
     if povm_arity == 2:
-        # keep one of each antipodal direction pair
-        dirs = grid[grid[:, 2] > 1e-12]
-        dirs = np.vstack([dirs, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-        p = 0.5 * (1.0 + bloch_out @ dirs.T)
-        p = np.clip(p, 0.0, 1.0)
-        for col in range(p.shape[1]):
-            lo, hi = float(p[:, col].min()), float(p[:, col].max())
-            if hi - lo < 1e-12:
-                continue
-            c, _ = blahut_arimoto(np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]]), tol=1e-10, max_iters=600)
+        for *_, kern in _two_point_kernels(ch, grid_density):
+            c, _ = blahut_arimoto(kern, tol=1e-10, max_iters=600)
             best = max(best, c)
     else:
+        bloch_out = _bloch_of_outputs(ch, _grid_directions(grid_density))
         planes = [(0, 1), (0, 2), (1, 2)]
         offsets = np.linspace(0.0, 2 * np.pi / 3, max(grid_density, 2), endpoint=False)
         for ax1, ax2 in planes:

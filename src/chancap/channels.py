@@ -144,13 +144,6 @@ def product_channel(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(tuple(tensor(ka, kb) for ka in a.kraus for kb in b.kraus))
 
 
-def n_fold_channel(ch: QuantumChannel, n: int) -> QuantumChannel:
-    out = ch
-    for _ in range(n - 1):
-        out = product_channel(out, ch)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Named channels
 # ---------------------------------------------------------------------------

@@ -312,6 +312,30 @@ class TestRestartsUsed:
             assert estimator(ch, self.CFG).restarts_used == self.CFG.restarts
 
 
+class TestConverged:
+    def test_no_sweeps_is_not_converged(self):
+        # with no alternation sweep the tolerance test never runs
+        cfg = OptimizerConfig(restarts=2, max_iters=0, tol=1e-6, seed=11)
+        ch = random_channel(2, 2, seed=41)
+        shannon = shannon_capacity(ch, cfg)
+        holevo = holevo_capacity(ch, cfg)
+        uep = measured_input_bound(ch, cfg)
+        fixed = fixed_measurement_capacity(ch, trine_povm(), cfg)
+        for res in (shannon, holevo, uep, fixed):
+            assert res.converged is False
+        assert shannon.value == channel_mutual_information(ch, shannon.argmax_ensemble, shannon.argmax_povm)
+        assert holevo.value == holevo_information(ch, holevo.argmax_ensemble)
+        assert uep.value == measured_input_information(ch, uep.argmax_rho, uep.argmax_povm)
+        assert fixed.value == channel_mutual_information(ch, fixed.argmax_ensemble, fixed.argmax_povm)
+
+    def test_flat_objective_converges(self):
+        # every sweep on the completely noisy channel gains nothing
+        ch = completely_noisy_channel(2)
+        for estimator in (shannon_capacity, holevo_capacity, measured_input_bound):
+            assert estimator(ch, QUICK).converged is True
+        assert fixed_measurement_capacity(ch, basis_povm(2), QUICK).converged is True
+
+
 def _chi_matrix_route(ch, weights, states):
     kr = np.stack(ch.kraus)
     outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())

@@ -10,6 +10,7 @@ from chancap.channels import (
     apply,
     basis_povm,
     bit_flip_channel,
+    channel_to_json,
     completely_noisy_channel,
     depolarizing_channel,
     dual_apply,
@@ -302,6 +303,15 @@ class TestLoadChannel:
             '{"kind": "completely-noisy", "dim": 3}',
         ):
             load_channel(spec)
+
+    def test_json_round_trip(self):
+        for dim, rank, seed in ((2, 3, 24), (3, 2, 25)):
+            ch = random_channel(dim, rank, seed=seed)
+            back = load_channel(channel_to_json(ch))
+            assert (back.dim_in, back.dim_out) == (dim, dim)
+            assert len(back.kraus) == len(ch.kraus)
+            for k, k_back in zip(ch.kraus, back.kraus):
+                np.testing.assert_array_equal(k_back, k)
 
 
 class TestPovmInvariants:
