@@ -137,7 +137,8 @@ def blahut_arimoto(
     capacity gap max_j D_j - sum_j r_j D_j falls below ``tol``.
 
     Returns ``(capacity, weights)``, or ``(capacity, weights, info)`` with the
-    per-iteration lower-bound history when ``full_output`` is set.
+    per-iteration lower-bound history and the final gap upper - lower (the
+    capacity lies in [capacity, capacity + gap]) when ``full_output`` is set.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] < 1:
@@ -188,8 +189,33 @@ def blahut_arimoto(
         gamma = min(1.5 * gamma, 16.0)
 
     if full_output:
-        return lower, r, {"lower_bounds": history, "iterations": len(history)}
+        return lower, r, {"lower_bounds": history, "iterations": len(history), "gap": upper - lower}
     return lower, r
+
+
+def _binary_capacity(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capacities (bits) and optimal weights of the kernels [[lo, 1-lo], [hi, 1-hi]], lo <= hi.
+
+    Closed form for an invertible square kernel W with row entropies h:
+    c = -W^-1 h, output q = 2^(c - C) with C = log2 sum 2^c, and weights
+    p = q W^-1, here p_hi = (q_0 - lo) / (hi - lo), clipped to [0, 1].  The
+    value returned is the mutual information at those weights, so it stays
+    a feasible-point lower bound where hi - lo is tiny and the formula
+    loses digits.  Weights have shape (..., 2), ordered (lo, hi).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    kern = np.stack([np.stack([lo, 1.0 - lo], axis=-1), np.stack([hi, 1.0 - hi], axis=-1)], axis=-2)
+    logk = np.log2(np.where(kern > 0.0, kern, 1.0))  # zero entries contribute 0 * finite = 0
+    h = -(kern * logk).sum(axis=-1)
+    d = hi - lo
+    safe_d = np.where(d > 0.0, d, 1.0)
+    with np.errstate(over="ignore"):
+        q0 = 1.0 / (1.0 + np.exp2((h[..., 1] - h[..., 0]) / safe_d))  # 2^(c_0 - C): c_1 - c_0 = (h_hi - h_lo) / d
+    p_hi = np.where(d > 0.0, np.clip((q0 - lo) / safe_d, 0.0, 1.0), 0.5)
+    weights = np.stack([1.0 - p_hi, p_hi], axis=-1)
+    q = np.einsum("...j,...jb->...b", weights, kern)
+    logq = np.log2(np.where(q > 0.0, q, 1.0))
+    return np.einsum("...j,...jb->...", weights, kern * (logk - logq[..., None, :])), weights
 
 
 # ---------------------------------------------------------------------------
@@ -919,18 +945,15 @@ def _coarse_qubit_scan(ch: QuantumChannel, density: int = 10):
 
     Returns (value, bloch_lo, bloch_hi, weights, best_direction): the best
     binary-measurement mutual information found on a coarse grid, the two
-    extreme signal directions achieving it, their Blahut-Arimoto weights and
-    the measurement direction.
+    extreme signal directions achieving it, their closed-form optimal
+    weights and the measurement direction.
     """
-    best = (-1.0, None)
-    for b_lo, b_hi, n, kern in _two_point_kernels(ch, density):
-        c, w = blahut_arimoto(kern, tol=1e-9, max_iters=300)
-        if c > best[0]:
-            best = (c, (b_lo, b_hi, w, n))
-    if best[1] is None:
-        return 0.0, *_grid_directions(density)[:2], np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0])
-    value, (b_lo, b_hi, w, n) = best
-    return value, b_lo, b_hi, w, n
+    grid, meas, jlo, jhi, lo, hi = _two_point_kernels(ch, density)
+    if len(meas) == 0:
+        return 0.0, grid[0], grid[1], np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0])
+    values, weights = _binary_capacity(lo, hi)
+    i = int(np.argmax(values))
+    return float(values[i]), grid[jlo[i]], grid[jhi[i]], weights[i], meas[i]
 
 
 def _bloch_state(n: np.ndarray) -> np.ndarray:
@@ -1016,20 +1039,20 @@ def _grid_directions(density: int) -> np.ndarray:
 def _two_point_kernels(ch: QuantumChannel, density: int):
     """Binary-readout kernels of the grid's pure states, one per measurement direction.
 
-    The directions keep one of each antipodal grid pair.  For each direction
-    whose outcome probabilities are not all equal, yields the two grid
-    directions with the extreme probabilities, the measurement direction and
-    the 2x2 kernel of those extremes.
+    The directions keep one of each antipodal grid pair.  Returns (grid, meas,
+    jlo, jhi, lo, hi): for each direction ``meas`` whose outcome probabilities
+    are not all equal, the grid indices of the states with the lowest and
+    highest probability of its first outcome, and those probabilities.
     """
     grid = _grid_directions(density)
     meas = grid[grid[:, 2] > 1e-12]
     meas = np.vstack([meas, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
     p = np.clip(0.5 * (1.0 + _bloch_of_outputs(ch, grid) @ meas.T), 0.0, 1.0)
-    for col in range(meas.shape[0]):
-        jlo, jhi = int(np.argmin(p[:, col])), int(np.argmax(p[:, col]))
-        lo, hi = float(p[jlo, col]), float(p[jhi, col])
-        if hi - lo >= 1e-12:
-            yield grid[jlo], grid[jhi], meas[col], np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
+    jlo, jhi = p.argmin(axis=0), p.argmax(axis=0)
+    cols = np.arange(len(meas))
+    lo, hi = p[jlo, cols], p[jhi, cols]
+    keep = hi - lo >= 1e-12
+    return grid, meas[keep], jlo[keep], jhi[keep], lo[keep], hi[keep]
 
 
 def qubit_grid_oracle(
@@ -1039,12 +1062,12 @@ def qubit_grid_oracle(
 
     Candidate signals are the grid of pure states; candidate measurements are
     two-outcome projective POVMs along grid directions (arity 2) or trine
-    POVMs rotated through the grid planes (arity 3); Blahut-Arimoto supplies
-    the input weights.  No randomness is involved.
+    POVMs rotated through the grid planes (arity 3), where Blahut-Arimoto
+    supplies the input weights.  No randomness is involved.
 
     For a two-outcome measurement the outcome statistics of every candidate
     lie on a segment, so the optimum uses the two extreme conditional
-    probabilities; the search therefore feeds only those to Blahut-Arimoto.
+    probabilities, and that binary kernel's capacity has a closed form.
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionMismatchError("grid oracle handles qubit channels only")
@@ -1055,9 +1078,8 @@ def qubit_grid_oracle(
 
     best = 0.0
     if povm_arity == 2:
-        for *_, kern in _two_point_kernels(ch, grid_density):
-            c, _ = blahut_arimoto(kern, tol=1e-10, max_iters=600)
-            best = max(best, c)
+        *_, lo, hi = _two_point_kernels(ch, grid_density)
+        best = float(_binary_capacity(lo, hi)[0].max(initial=0.0))
     else:
         bloch_out = _bloch_of_outputs(ch, _grid_directions(grid_density))
         planes = [(0, 1), (0, 2), (1, 2)]

@@ -25,12 +25,14 @@ from chancap.capacity import (
 from chancap.channels import (
     Povm,
     QuantumChannel,
+    amplitude_damping_channel,
     basis_povm,
     bit_flip_channel,
     completely_noisy_channel,
     depolarizing_channel,
     identity_channel,
     measured_channel,
+    phase_damping_channel,
     random_channel,
     trine_povm,
 )
@@ -74,6 +76,72 @@ class TestBlahutArimoto:
             blahut_arimoto(np.array([[0.5, 0.4], [0.1, 0.9]]))
         with pytest.raises(InvariantViolation):
             blahut_arimoto(np.array([[1.1, -0.1], [0.5, 0.5]]))
+
+    def test_gap_brackets_binary_closed_form(self):
+        # the two solvers certify each other: lower <= C <= lower + gap
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            kernel = rng.dirichlet(np.ones(2), size=2)
+            lower, _, info = blahut_arimoto(kernel, tol=1e-9, max_iters=300, full_output=True)
+            closed = float(cap._binary_capacity(kernel[:, 0].min(), kernel[:, 0].max())[0])
+            assert info["gap"] >= 0.0
+            assert lower <= closed + 1e-15  # rounding of the two evaluations
+            assert closed <= lower + info["gap"] + 1e-12
+
+
+def _binary_kernel(lo, hi):
+    return np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
+
+
+# Blahut-Arimoto as the reference for binary kernels.  At tol 1e-12 its gap
+# stalls near 1e-8, so nearly every call runs to its cap.  Its lower bound
+# comes within 1e-10 of the capacity in under 30 iterations on 90% of random
+# kernels and in under 1000 on all 500 tried; the slow ones have nearly equal
+# rows.  The grid tests compare each channel's best kernels, which settle early.
+REF_BA = {"tol": 1e-12, "max_iters": 1000}
+REF_BA_GRID = {"tol": 1e-12, "max_iters": 200}
+
+
+class TestBinaryCapacity:
+    def test_matches_blahut_arimoto(self):
+        rng = np.random.default_rng(7)
+        lo, hi = np.sort(rng.random((2, 200)), axis=0)
+        values, weights = cap._binary_capacity(lo, hi)
+        assert values.shape == (200,) and weights.shape == (200, 2)
+        assert np.all((weights >= 0.0) & (weights <= 1.0))
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-15)
+        for v, w, l, h in zip(values, weights, lo, hi):
+            ref, _ = blahut_arimoto(_binary_kernel(l, h), **REF_BA)
+            assert v >= ref - 1e-12
+            assert abs(v - ref) < 1e-9
+            assert abs(v - cap._mi_fixed_weights(w, _binary_kernel(l, h))) <= 1e-15
+
+    def test_noiseless(self):
+        value, weights = cap._binary_capacity(0.0, 1.0)
+        assert abs(value - 1.0) < 1e-15
+        np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
+
+    def test_z_channels(self):
+        # a Z-channel with crossover 1/2 has capacity log2(5) - 2 at weight 2/5 on the noisy input
+        value, weights = cap._binary_capacity(0.0, 0.5)
+        assert abs(value - (np.log2(5.0) - 2.0)) < 1e-15
+        np.testing.assert_allclose(weights, [0.6, 0.4], atol=1e-15)
+        value, weights = cap._binary_capacity(0.5, 1.0)
+        assert abs(value - (np.log2(5.0) - 2.0)) < 1e-15
+        np.testing.assert_allclose(weights, [0.4, 0.6], atol=1e-15)
+        rng = np.random.default_rng(8)
+        for lo, hi in [(0.0, x) for x in rng.random(10)] + [(x, 1.0) for x in rng.random(10)]:
+            value, _ = cap._binary_capacity(lo, hi)
+            ref, _ = blahut_arimoto(_binary_kernel(lo, hi), **REF_BA)
+            assert ref - 1e-12 <= value < ref + 1e-9
+
+    def test_nearly_equal_rows(self):
+        for lo in (0.0, 0.3, 0.5, 1.0 - 1e-6):
+            for d in (1e-12, 1e-9):
+                value, weights = cap._binary_capacity(lo, lo + d)
+                assert np.isfinite(value) and value >= 0.0
+                assert np.all((weights >= 0.0) & (weights <= 1.0))
+                assert abs(value - cap._mi_fixed_weights(weights, _binary_kernel(lo, lo + d))) <= 1e-15
 
 
 class TestParametrisations:
@@ -259,6 +327,54 @@ class TestGridOracle:
     def test_deterministic(self):
         ch = random_channel(2, 3, seed=90)
         assert qubit_grid_oracle(ch, 14) == qubit_grid_oracle(ch, 14)
+
+    def test_matches_blahut_arimoto_loop(self):
+        for ch in TWO_POINT_CHANNELS:
+            ref = max((row[0] for row in _ba_two_point_loop(ch, 14)), default=0.0)
+            assert abs(qubit_grid_oracle(ch, 14) - ref) < 1e-9
+
+    def test_coarse_scan_picks_blahut_arimoto_argmax(self):
+        checked = 0
+        for ch in TWO_POINT_CHANNELS:
+            rows = sorted(_ba_two_point_loop(ch, 10), key=lambda row: row[0], reverse=True)
+            if not rows or (len(rows) > 1 and rows[0][0] - rows[1][0] <= 1e-9):
+                continue
+            value, b_lo, b_hi, _, n = cap._coarse_qubit_scan(ch)
+            assert abs(value - rows[0][0]) < 1e-9
+            for got, want in zip((b_lo, b_hi, n), rows[0][1:]):
+                np.testing.assert_array_equal(got, want)
+            checked += 1
+        assert checked >= 15
+
+
+TWO_POINT_CHANNELS = [
+    identity_channel(2),
+    completely_noisy_channel(2),
+    depolarizing_channel(0.3),
+    bit_flip_channel(0.1),
+    amplitude_damping_channel(0.5),
+    phase_damping_channel(0.4),
+] + [random_channel(2, 1 + i % 4, seed=5000 + i) for i in range(12)]
+
+
+def _ba_two_point_loop(ch, density):
+    """Per-direction Blahut-Arimoto over the extreme-pair kernels, the loop the closed form replaced.
+
+    Returns (capacity, bloch_lo, bloch_hi, direction) for each measurement
+    direction whose outcome probabilities are not all equal.
+    """
+    grid = cap._grid_directions(density)
+    meas = grid[grid[:, 2] > 1e-12]
+    meas = np.vstack([meas, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    p = np.clip(0.5 * (1.0 + cap._bloch_of_outputs(ch, grid) @ meas.T), 0.0, 1.0)
+    rows = []
+    for col in range(meas.shape[0]):
+        jlo, jhi = int(np.argmin(p[:, col])), int(np.argmax(p[:, col]))
+        lo, hi = float(p[jlo, col]), float(p[jhi, col])
+        if hi - lo >= 1e-12:
+            c, _ = blahut_arimoto(_binary_kernel(lo, hi), **REF_BA_GRID)
+            rows.append((c, grid[jlo], grid[jhi], meas[col]))
+    return rows
 
 
 class TestMeasuredChannelEquivalence:
