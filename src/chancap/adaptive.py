@@ -268,11 +268,11 @@ def best_conditional_information(
 
     def state_block(_, xm):
         w, effects = last["w"], effects_of(xm)[0]
-        return lambda v: _mi_fixed_weights(w, _kernel(pure_states_from_params(v, dim_total, n_states), effects))
+        return (lambda v: _mi_fixed_weights(w, _kernel(pure_states_from_params(v, dim_total, n_states), effects))), False
 
     def strategy_block(xs, _):
         w, states = last["w"], pure_states_from_params(xs, dim_total, n_states)
-        return lambda v: _mi_fixed_weights(w, _kernel(states, effects_of(v)[0]))
+        return (lambda v: _mi_fixed_weights(w, _kernel(states, effects_of(v)[0]))), False
 
     def run(restart, rng):
         if restart == 0 and init_strategy is not None:

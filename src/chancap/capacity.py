@@ -6,12 +6,16 @@ the returned ensemble / POVM / state, so re-evaluating the objective at the
 argmax reproduces it.  A deterministic Bloch-grid brute force provides an
 independent cross-check for qubit channels.
 
-On a qubit side the Nelder-Mead objectives work in Bloch coordinates: a
-qubit channel is the affine map n -> T n + t on Bloch vectors, signal states
-are Bloch vectors, effects are Pauli forms E = e0 I + e . sigma, and every
+On a qubit side the block objectives work in Bloch coordinates: a qubit
+channel is the affine map n -> T n + t on Bloch vectors, signal states are
+Bloch vectors, effects are Pauli forms E = e0 I + e . sigma, and every
 objective is a few operations on real 3-vectors.  These evaluate the same
-numbers as the matrix route from the same parameters; the matrix route
-stays for every other dimension and for the final exact re-evaluation.
+numbers as the matrix route from the same parameters, together with their
+closed-form gradients, so each such block is solved by L-BFGS-B.  Every
+other dimension keeps the matrix route and Nelder-Mead, and the final exact
+re-evaluation always takes the matrix route.  L-BFGS-B stops at once when
+started exactly at a stationary point, such as equatorial signals under a
+z-basis readout; the other restarts cover that case.
 """
 
 from __future__ import annotations
@@ -166,22 +170,26 @@ def blahut_arimoto(
         safe = np.where(pbar > 0.0, pbar, 1.0)
         return np.sum(np.where(mask, k * (logk - np.log2(safe)[None, :]), 0.0), axis=1)
 
+    def step(gamma):
+        cand = r * np.exp2(gamma * (d - upper))
+        cand = cand / cand.sum()
+        d_cand = divergences(cand)
+        return cand, d_cand, float(cand @ d_cand)
+
     d = divergences(r)
     lower = float(r @ d)
     upper = float(d.max())
     history = [lower]
-    gamma = 1.0  # over-relaxation exponent, backtracked to keep the bound monotone
+    gamma = 1.0  # over-relaxation exponent
     for _ in range(int(max_iters)):
         if upper - lower < tol:
             break
-        while True:
-            cand = r * np.exp2(gamma * (d - upper))
-            cand = cand / cand.sum()
-            d_cand = divergences(cand)
-            lower_cand = float(cand @ d_cand)
-            if lower_cand >= lower - 1e-15 or gamma <= 1.0:
-                break
-            gamma = max(1.0, 0.5 * gamma)
+        cand, d_cand, lower_cand = step(gamma)
+        if gamma > 1.0 and not lower_cand > lower:
+            # an over-relaxed step that does not raise the bound can overshoot
+            # while the bound is flat and stall the gap: take the plain step
+            gamma = 1.0
+            cand, d_cand, lower_cand = step(gamma)
         r, d = cand, d_cand
         lower = max(lower_cand, lower)
         upper = float(d.max())
@@ -315,12 +323,22 @@ def _kernel(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return np.clip(k, 0.0, None)
 
 
-def _mi_fixed_weights(weights: np.ndarray, kernel: np.ndarray) -> float:
-    """Mutual information of the joint weights x kernel, weights held fixed."""
+def _mi_and_grad(weights: np.ndarray, kernel: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mutual information of the joint weights x kernel at fixed weights, and its kernel gradient.
+
+    dI/dK_jb = w_j log2(K_jb / q_b), taken as 0 where K_jb = 0 (clipped).
+    """
     q = weights @ kernel
     safe_k = np.where(kernel > 0.0, kernel, 1.0)  # zero entries contribute 0 * finite = 0
     safe_q = np.where(q > 0.0, q, 1.0)
-    return float(weights @ (kernel * (np.log2(safe_k) - np.log2(safe_q))).sum(axis=1))
+    log_ratio = np.log2(safe_k) - np.log2(safe_q)
+    value = float(weights @ (kernel * log_ratio).sum(axis=1))
+    return value, np.where(kernel > 0.0, weights[:, None] * log_ratio, 0.0)
+
+
+def _mi_fixed_weights(weights: np.ndarray, kernel: np.ndarray) -> float:
+    """Mutual information of the joint weights x kernel, weights held fixed."""
+    return _mi_and_grad(weights, kernel)[0]
 
 
 def _eig_entropy(lam: np.ndarray) -> np.ndarray:
@@ -329,15 +347,30 @@ def _eig_entropy(lam: np.ndarray) -> np.ndarray:
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
+def _eig_entropy_slope(lam: np.ndarray) -> np.ndarray:
+    """log2(lam) + 1/ln 2, so that dS/dlam = -slope; 0 for the entries ``_eig_entropy`` drops."""
+    kept = np.where(lam > EIG_CLIP, lam, 1.0)
+    return np.where(lam > EIG_CLIP, np.log2(kept) + 1.0 / np.log(2.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Qubit objectives in Bloch coordinates
 # ---------------------------------------------------------------------------
 #
 # A qubit state is rho = (I + n . sigma) / 2 and an effect E = e0 I + e . sigma,
 # so Tr(rho E) = e0 + n . e.  Each helper returns, from the same parameters,
-# the Bloch or Pauli form of the matrix its ``*_from_params`` counterpart builds.
+# the Bloch or Pauli form of the matrix its ``*_from_params`` counterpart
+# builds, with its Jacobian: the first axis runs over the parameters and the
+# others match the returned form, so ``_pull_back`` turns a gradient in that
+# form into one in the parameters.  Where a helper takes the matrix route
+# (degenerate parameters) its Jacobian is zero.
 
 _PAULI_STACK = np.stack(PAULI)
+
+
+def _pull_back(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient in the parameters of a gradient in a helper's returned form."""
+    return jac.reshape(len(jac), -1) @ np.ravel(grad)
 
 
 def _pauli_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,13 +385,18 @@ def _affine_bloch_map(ch: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
     return (_bloch_of_outputs(ch, np.eye(3)) - shift).T, shift[0]
 
 
-def _bloch_of_angles(x: np.ndarray) -> np.ndarray:
-    """Bloch vectors (rows) of ``pure_states_from_params(x, 2, n)``."""
+def _bloch_of_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors (rows) of ``pure_states_from_params(x, 2, n)``, and their Jacobian."""
     theta, phi = x[0::2], x[1::2]
-    s = np.sin(theta)
-    out = np.empty((len(theta), 3))
-    out[:, 0], out[:, 1], out[:, 2] = s * np.cos(phi), s * np.sin(phi), np.cos(theta)
-    return out
+    n = len(theta)
+    s, c, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    out = np.empty((n, 3))
+    out[:, 0], out[:, 1], out[:, 2] = s * cp, s * sp, c
+    jac = np.zeros((n, 2, n, 3))
+    j = np.arange(n)
+    jac[j, 0, j] = np.stack([c * cp, c * sp, -s], axis=1)
+    jac[j, 1, j] = np.stack([-s * sp, s * cp, np.zeros(n)], axis=1)
+    return out, jac.reshape(2 * n, n, 3)
 
 
 def _bloch_kernel(bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -367,122 +405,232 @@ def _bloch_kernel(bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]) -> 
     return np.maximum(e0 + bloch @ e.T, 0.0)
 
 
-def _povm_pauli_from_params(x: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli form of ``povm_elements_from_params(x, 2, n_out)``.
+def _povm_pauli_from_params(x: np.ndarray, n_out: int):
+    """Pauli form (e0, e) of ``povm_elements_from_params(x, 2, n_out)``, and its Jacobian.
 
     The gauge-fixed QR of the two-column matrix g is Gram-Schmidt on its
-    columns.  Where a column vanishes or the columns are (nearly) parallel,
-    the basis is QR's own, so the elements come from the matrix route; so
-    they do for column norms far from 1, where the squares below would
-    leave the floating-point range.
+    columns, and the Jacobian, of shape (4 n_out, n_out, 4) over the columns
+    (e0, e), is its forward-mode derivative along each real parameter.
+    Where a column vanishes or the columns are (nearly) parallel, the basis
+    is QR's own, so the elements come from the matrix route; so they do for
+    column norms far from 1, where the squares below would leave the
+    floating-point range.
     """
-    g = np.empty(2 * n_out, dtype=complex)
-    g.real, g.imag = x[: 2 * n_out], x[2 * n_out:]
+    m = 2 * n_out
+    g = np.empty(m, dtype=complex)
+    g.real, g.imag = x[:m], x[m:]
     a, b = g[0::2], g[1::2]  # the columns of g
     aa, bb = np.vdot(a, a).real, np.vdot(b, b).real
     if 1e-150 < aa < 1e150 and bb < 1e150:
-        u = b - (np.vdot(a, b) / aa) * a
+        ab = np.vdot(a, b)
+        u = b - (ab / aa) * a
         uu = np.vdot(u, u).real
         if uu > max(1e-12 * bb, 1e-150):
             ac = a.conj()
             p0, p1 = (ac * a).real / aa, (u.conj() * u).real / uu
-            off = ac * u / np.sqrt(aa * uu)  # element (0, 1) of each E_b
+            root = np.sqrt(aa * uu)
+            off = ac * u / root  # element (0, 1) of each E_b
             w = np.empty((n_out, 3))
             w[:, 0], w[:, 1], w[:, 2] = off.real, -off.imag, 0.5 * (p0 - p1)
-            return 0.5 * (p0 + p1), w
-    return _pauli_form(povm_elements_from_params(x, 2, n_out))
+            # tangents (rows) along the real parts, then the imaginary parts, of g
+            dg = np.concatenate([np.eye(m), 1j * np.eye(m)])
+            da, db = dg[:, 0::2], dg[:, 1::2]
+            daa = 2.0 * (da @ ac).real
+            du = db - ((da.conj() @ b + db @ ac) / aa - (ab / aa**2) * daa)[:, None] * a - (ab / aa) * da
+            duu = 2.0 * (du @ u.conj()).real
+            dp0 = (2.0 * (ac * da).real - daa[:, None] * p0) / aa
+            dp1 = (2.0 * (u.conj() * du).real - duu[:, None] * p1) / uu
+            doff = (da.conj() * u + ac * du) / root - off * (0.5 * (daa / aa + duu / uu))[:, None]
+            jac = np.empty((2 * m, n_out, 4))
+            jac[..., 0], jac[..., 3] = 0.5 * (dp0 + dp1), 0.5 * (dp0 - dp1)
+            jac[..., 1], jac[..., 2] = doff.real, -doff.imag
+            return (0.5 * (p0 + p1), w), jac
+    return _pauli_form(povm_elements_from_params(x, 2, n_out)), np.zeros((2 * m, n_out, 4))
 
 
-def _density_bloch_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and Bloch vector of ``density_from_params(x, 2)``.
+def _density_bloch_from_params(x: np.ndarray):
+    """Eigenvalues and Bloch vector of ``density_from_params(x, 2)``, and their Jacobian.
 
     rho = lam_1 I + (lam_0 - lam_1) q q^dag with q the first column of the
-    gauge-fixed QR of g, i.e. g's first column normalised.  A vanishing first
-    column leaves q to QR, so rho then comes from the matrix route.
+    gauge-fixed QR of g, i.e. g's first column normalised.  The Jacobian has
+    shape (10, 5), over (lam_0, lam_1, n).  A vanishing g or first column
+    leaves q to QR, so rho then comes from the matrix route.
     """
     logits = x[:2]
     z = np.exp(logits - logits.max())
     lam = z / z.sum()
+    jac = np.zeros((10, 5))
     if np.sqrt(x[2:] @ x[2:]) < 1e-9:  # density_from_params takes g = I
-        return lam, np.array([0.0, 0.0, lam[0] - lam[1]])
+        return (lam, np.array([0.0, 0.0, lam[0] - lam[1]])), jac
     p, q, r, s = x[2], x[6], x[4], x[8]  # g[:, 0] = (p + iq, r + is)
     norm2 = p * p + q * q + r * r + s * s
     if 1e-300 < norm2 < 1e300:
+        v = np.array([2.0 * (p * r + q * s), 2.0 * (p * s - q * r), p * p + q * q - r * r - s * s])
         scale = (lam[0] - lam[1]) / norm2
-        return lam, scale * np.array([2.0 * (p * r + q * s), 2.0 * (p * s - q * r), p * p + q * q - r * r - s * s])
-    return lam, 2.0 * _pauli_form(density_from_params(x, 2))[1]
+        dlam = lam[0] * lam[1] * np.array([1.0, -1.0])  # d lam_0 / d logits = -d lam_1 / d logits
+        jac[:2, 0], jac[:2, 1] = dlam, -dlam
+        jac[:2, 2:] = np.outer(2.0 * dlam, v / norm2)
+        dv = 2.0 * np.array([[r, s, p], [s, -r, q], [p, -q, -r], [q, p, -s]])  # dv / d(p, q, r, s)
+        jac[[2, 6, 4, 8], 2:] = scale * (dv - np.outer([p, q, r, s], 2.0 * v / norm2))
+        return (lam, scale * v), jac
+    return (lam, 2.0 * _pauli_form(density_from_params(x, 2))[1]), jac
 
 
-def _measured_input_bloch(rho: tuple[np.ndarray, np.ndarray], effects: tuple[np.ndarray, np.ndarray]) -> float:
-    """Measured-input information of a qubit input against pulled-back effects.
+def _measured_input_bloch(rho: tuple[np.ndarray, np.ndarray], effects: tuple[np.ndarray, np.ndarray]):
+    """Measured-input information of a qubit input against pulled-back effects, and its gradients.
 
     ``rho`` is (eigenvalues, Bloch vector) and ``effects`` the Pauli form of
     dual(E_b).  The block sqrt(rho) dual(E_b) sqrt(rho) has trace
     tau_b = Tr(rho dual(E_b)) and determinant det(rho) det(dual(E_b)), which
-    fix its two eigenvalues.
+    fix its two eigenvalues mu = tau/2 +- s.  Returns the value, its gradient
+    in (lam_0, lam_1, n) and its gradient in each effect's (e0, e) (rows).
+    With l = log2 mu + 1/ln 2, dS_b/dtau = -(l+ + l-)/2 - (tau/4s)(l+ - l-)
+    and dS_b/ddet = (l+ - l-)/2s, whose limit at s = 0 is 2/(ln 2 tau).
     """
     lam, n = rho
     e0, e = effects
-    tau = np.maximum(e0 + e @ n, 0.0)
-    det = lam[0] * lam[1] * np.maximum(e0 * e0 - (e * e).sum(axis=1), 0.0)
+    tau_raw = e0 + e @ n
+    tau = np.maximum(tau_raw, 0.0)
+    det_e = e0 * e0 - (e * e).sum(axis=1)
+    kept_det_e = np.maximum(det_e, 0.0)
+    det = lam[0] * lam[1] * kept_det_e
     half = 0.5 * tau
     s = np.sqrt(np.maximum(half * half - det, 0.0))
     block_eigs = np.concatenate([half + s, np.maximum(half - s, 0.0)])
-    return float(_eig_entropy(lam) - _eig_entropy(block_eigs) + _eig_entropy(tau))
+    value = float(_eig_entropy(lam) - _eig_entropy(block_eigs) + _eig_entropy(tau))
+
+    slope_hi, slope_lo = _eig_entropy_slope(block_eigs).reshape(2, -1)
+    split = s > 1e-6 * half
+    occupied = half > EIG_CLIP
+    ratio = np.where(  # dS_b / ddet
+        split,
+        (slope_hi - slope_lo) / (2.0 * np.where(split, s, 1.0)),
+        np.where(occupied, 1.0 / (np.log(2.0) * np.where(occupied, half, 1.0)), 0.0),
+    )
+    g_tau = np.where(tau_raw > 0.0, 0.5 * (slope_hi + slope_lo) + half * ratio - _eig_entropy_slope(tau), 0.0)
+    g_det_e = np.where(det_e > 0.0, -ratio * lam[0] * lam[1], 0.0)
+    d_lam = -ratio @ kept_det_e
+    g_rho = np.concatenate([-_eig_entropy_slope(lam) + d_lam * lam[::-1], g_tau @ e])
+    g_effects = np.column_stack([g_tau + 2.0 * e0 * g_det_e, g_tau[:, None] * n - 2.0 * g_det_e[:, None] * e])
+    return value, g_rho, g_effects
 
 
-def _bloch_outputs_of(ch: QuantumChannel):
-    """Signal parameters -> Bloch vectors (rows) of the qubit channel's outputs."""
-    t_mat, shift = _affine_bloch_map(ch)
-    return lambda xs: _bloch_of_angles(xs) @ t_mat.T + shift
+def _qubit_chi(weights: np.ndarray, bloch_out: np.ndarray):
+    """Holevo quantity of qubit outputs (Bloch vectors, rows) at fixed weights, and its gradient in them.
 
-
-def _qubit_chi(weights: np.ndarray, bloch_out: np.ndarray) -> float:
-    """Holevo quantity of qubit outputs (Bloch vectors, rows) at fixed weights."""
+    With h(r) the entropy of (1 +- r)/2 and rbar = sum_j w_j r_j,
+    dchi/dr_j = w_j [h'(|rbar|) rbar/|rbar| - h'(|r_j|) r_j/|r_j|], where
+    h'(r)/r -> -1/ln 2 as r -> 0.
+    """
     vecs = np.vstack([weights @ bloch_out, bloch_out])
     radii = np.sqrt((vecs * vecs).sum(axis=1))
-    ent = _eig_entropy(np.stack([0.5 * (1.0 + radii), 0.5 * (1.0 - radii)], axis=1))
-    return float(ent[0] - weights @ ent[1:])
+    lam = np.stack([0.5 * (1.0 + radii), 0.5 * (1.0 - radii)], axis=1)
+    ent = _eig_entropy(lam)
+    slope = _eig_entropy_slope(lam)
+    small = radii < 1e-8
+    per_radius = np.where(small, -1.0 / np.log(2.0), 0.5 * (slope[:, 1] - slope[:, 0]) / np.where(small, 1.0, radii))
+    radial = per_radius[:, None] * vecs
+    return float(ent[0] - weights @ ent[1:]), weights[:, None] * (radial[0] - radial[1:])
+
+
+def _qubit_chi_objective(ch: QuantumChannel):
+    """(weights, signal parameters) -> (chi, its gradient in the parameters) on a qubit channel."""
+    t_mat, shift = _affine_bloch_map(ch)
+
+    def chi(weights, xs):
+        bloch, jac = _bloch_of_angles(xs)
+        value, g_out = _qubit_chi(weights, bloch @ t_mat.T + shift)
+        return value, _pull_back(jac, g_out @ t_mat)
+
+    return chi
+
+
+def _mi_bloch(weights: np.ndarray, bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]):
+    """MI at fixed weights of qubit signals against effects in Pauli form, and its gradients.
+
+    Returns the value, the gradient in the signals' Bloch vectors (rows) and
+    the gradient in each effect's (e0, e) (rows).
+    """
+    value, g = _mi_and_grad(weights, _bloch_kernel(bloch, effects))
+    return value, g @ effects[1], np.column_stack([g.sum(axis=0), g.T @ bloch])
+
+
+def _mi_signal_objective(weights: np.ndarray, effects, din: int, n_states: int):
+    """Signal-block objective of the MI searches, and whether it returns a gradient.
+
+    On a qubit input the effects are in Pauli form and the objective returns
+    (value, gradient); otherwise the effects are matrices and it returns the value.
+    """
+    if din == 2:
+        def objective(xs):
+            bloch, jac = _bloch_of_angles(xs)
+            value, g_bloch, _ = _mi_bloch(weights, bloch, effects)
+            return value, _pull_back(jac, g_bloch)
+
+        return objective, True
+    return (lambda xs: _mi_fixed_weights(weights, _kernel(pure_states_from_params(xs, din, n_states), effects))), False
 
 
 def _signal_route(din: int, n_states: int):
-    """(signals, kernel) for the Nelder-Mead objectives.
+    """(signals, kernel) for the value-only objectives.
 
     ``signals`` maps signal parameters to states and ``kernel`` takes those
     states and the input-side effects to p(b|j).  On a qubit input the states
     are Bloch vectors and the effects Pauli forms.
     """
     if din == 2:
-        return _bloch_of_angles, _bloch_kernel
+        return (lambda xs: _bloch_of_angles(xs)[0]), _bloch_kernel
     return (lambda xs: pure_states_from_params(xs, din, n_states)), _kernel
 
 
 def _pulled_back_effects(ch: QuantumChannel, n_out: int):
-    """POVM parameters -> the POVM pulled back to the channel input.
+    """POVM parameters -> (the POVM pulled back to the channel input, its Jacobian).
 
     The effects are in Pauli form on a qubit input, and matrices otherwise.
     A qubit channel pulls back the Pauli form w0 I + w . sigma as
-    (w0 + w . t) I + (T^T w) . sigma.
+    (w0 + w . t) I + (T^T w) . sigma and carries the Jacobian of
+    ``_povm_pauli_from_params`` along; other channels give no Jacobian (None).
     """
     din, dout = ch.dim_in, ch.dim_out
     if (din, dout) == (2, 2):
         t_mat, shift = _affine_bloch_map(ch)
 
         def pulled(xm):
-            w0, w = _povm_pauli_from_params(xm, n_out)
-            return w0 + w @ shift, w @ t_mat
+            (w0, w), jac = _povm_pauli_from_params(xm, n_out)
+            jac_pulled = np.empty_like(jac)
+            jac_pulled[..., 0] = jac[..., 0] + jac[..., 1:] @ shift
+            jac_pulled[..., 1:] = jac[..., 1:] @ t_mat
+            return (w0 + w @ shift, w @ t_mat), jac_pulled
     else:
         def pulled(xm):
             duals = _dual_effect_stack(ch, povm_elements_from_params(xm, dout, n_out))
-            return _pauli_form(duals) if din == 2 else duals
+            return (_pauli_form(duals) if din == 2 else duals), None
     return pulled
 
 
-def _nelder_mead(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
-    """Best vertex of an adaptive Nelder-Mead minimisation of ``fun`` from ``x0``."""
+# Settings of every L-BFGS-B block solve; the block's evaluation budget caps
+# it as it caps Nelder-Mead.
+_LBFGSB_OPTIONS = {"ftol": 1e-12, "gtol": 1e-9}
+
+
+def _maximize(fun, x0: np.ndarray, maxfev: int, jac: bool = False) -> np.ndarray:
+    """Local maximiser of ``fun`` from ``x0``, within ``maxfev`` evaluations.
+
+    With ``jac``, ``fun`` returns (value, gradient) and L-BFGS-B runs; a
+    non-finite result returns ``x0``.  Otherwise adaptive Nelder-Mead runs
+    and its best vertex is returned.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if jac:
+        def negated(v):
+            value, grad = fun(v)
+            return -value, -grad
+
+        res = minimize(negated, x0, jac=True, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
+        return res.x if np.all(np.isfinite(res.x)) else x0
     res = minimize(
-        fun,
-        np.asarray(x0, dtype=float),
+        lambda v: -fun(v),
+        x0,
         method="Nelder-Mead",
         options={"maxfev": int(maxfev), "xatol": 1e-7, "fatol": 1e-11, "adaptive": True},
     )
@@ -490,22 +638,22 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
 
 
 def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, maxfev_per_param: int = 60):
-    """Alternating Nelder-Mead ascent over parameter blocks.
+    """Alternating ascent over parameter blocks.
 
-    A sweep maximises ``block_objectives[i](*blocks)``, a function of block i
-    alone built with the other blocks held, for each block in turn, then
-    takes ``sweep_value(*blocks)``; the search stops once a sweep gains less
-    than ``cfg.tol``.  Returns the blocks, the best sweep value and whether
-    that test (rather than ``cfg.max_iters``) ended the search.
+    ``block_objectives[i](*blocks)`` returns (objective, jac): an objective
+    of block i alone, built with the other blocks held, and whether it
+    returns (value, gradient) (see ``_maximize``).  A sweep maximises each
+    block's objective in turn, then takes ``sweep_value(*blocks)``; the
+    search stops once a sweep gains less than ``cfg.tol``.  Returns the
+    blocks, the best sweep value and whether that test (rather than
+    ``cfg.max_iters``) ended the search.
     """
     blocks = list(blocks)
     current = sweep_value(*blocks)
     for _ in range(cfg.max_iters):
         for i, make_objective in enumerate(block_objectives):
-            objective = make_objective(*blocks)
-            blocks[i] = _nelder_mead(
-                lambda v: -objective(v), blocks[i], maxfev=maxfev_per_param * len(blocks[i])
-            )
+            objective, jac = make_objective(*blocks)
+            blocks[i] = _maximize(objective, blocks[i], maxfev_per_param * len(blocks[i]), jac)
         value = sweep_value(*blocks)
         improved = value - current
         current = max(value, current)
@@ -610,6 +758,16 @@ def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) ->
 # Shannon capacity
 # ---------------------------------------------------------------------------
 
+def _final_weights(kern: np.ndarray, warm: np.ndarray) -> np.ndarray:
+    """Input weights on a search's final kernel: a cold Blahut-Arimoto run's or the sweep's warm ones.
+
+    The warm weights win when they give more mutual information: where two
+    rows nearly coincide the cold run can stop short of them.
+    """
+    _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
+    return warm if _mi_fixed_weights(warm, kern) > _mi_fixed_weights(weights, kern) else weights
+
+
 def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible mutual information over ensembles and product POVMs.
 
@@ -625,6 +783,7 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     ns = n_state_params(din, n_states)
     signals, kernel = _signal_route(din, n_states)
     pulled = _pulled_back_effects(ch, n_out)
+    qubit = (din, dout) == (2, 2)
 
     def run(restart, rng):
         warm = {"w": None}
@@ -636,7 +795,7 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
             warm["w"] = w
             return c
 
-        if restart == 0 and (din, dout) == (2, 2):
+        if restart == 0 and qubit:
             # start from the coarse grid scan's best two-point configuration
             xs, xm, _ = _witness_inits(ch, n_states, n_out)
         elif restart < _n_canonical_inits(din):
@@ -654,19 +813,26 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
 
         # weights from the sweep-start kernel stay fixed inside both blocks
         def signal_block(_, xm_):
-            w, effects = warm["w"], pulled(xm_)
-            return lambda v: _mi_fixed_weights(w, kernel(signals(v), effects))
+            return _mi_signal_objective(warm["w"], pulled(xm_)[0], din, n_states)
 
         def povm_block(xs_, _):
             w, states = warm["w"], signals(xs_)
-            return lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)))
+            if not qubit:
+                return (lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)[0]))), False
+
+            def objective(v):
+                effects, jac = pulled(v)
+                value, _, g_effects = _mi_bloch(w, states, effects)
+                return value, _pull_back(jac, g_effects)
+
+            return objective, True
 
         (xs, xm), _, converged = _block_ascent([xs, xm], ba_value, [signal_block, povm_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
         elements = povm_elements_from_params(xm, dout, n_out)
         kern = _kernel(states, _dual_effect_stack(ch, elements))
-        _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
+        weights = _final_weights(kern, warm["w"])
         ensemble = Ensemble(weights, tuple(states))
         povm = Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
@@ -696,7 +862,6 @@ def fixed_measurement_capacity(
         din = dim if dim is not None else m.dim
     n_states = max(cfg.ensemble_size_cap, 2)
 
-    signals, kernel = _signal_route(din, n_states)
     input_effects = _pauli_form(effects) if din == 2 else effects
 
     def run(restart, rng):
@@ -711,14 +876,13 @@ def fixed_measurement_capacity(
         xs = _signal_inits(din, n_states, restart, rng, ba_value)
 
         def signal_block(_):
-            w = warm["w"]
-            return lambda v: _mi_fixed_weights(w, kernel(signals(v), input_effects))
+            return _mi_signal_objective(warm["w"], input_effects, din, n_states)
 
         (xs,), _, converged = _block_ascent([xs], ba_value, [signal_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
         kern = _kernel(states, effects)
-        _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
+        weights = _final_weights(kern, warm["w"])
         ensemble = Ensemble(weights, tuple(states))
         if ch is not None:
             value = channel_mutual_information(ch, ensemble, m)
@@ -824,11 +988,9 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         states = pure_states_from_params(xs_, din, n_states)
         return np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
 
-    if (din, ch.dim_out) == (2, 2):
-        bloch_outputs_of = _bloch_outputs_of(ch)
-
-        def chi_fixed(w, xs_):
-            return _qubit_chi(w, bloch_outputs_of(xs_))
+    qubit = (din, ch.dim_out) == (2, 2)
+    if qubit:
+        chi_fixed = _qubit_chi_objective(ch)  # returns (chi, gradient)
     else:
         def chi_fixed(w, xs_):
             outs = outputs_of(xs_)
@@ -847,7 +1009,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
 
         def signal_block(_):
             w = warm["w"]
-            return lambda v: chi_fixed(w, v)
+            return (lambda v: chi_fixed(w, v)), qubit
 
         (xs,), _, converged = _block_ascent([xs], chi_value, [signal_block], cfg)
 
@@ -879,26 +1041,50 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     nr = n_density_params(din)
     qubit = (din, dout) == (2, 2)
 
-    # the objective is information(input_of(xr), effects_of(xm))
+    # the objective is information(input_of(xr), effects_of(xm)); on a qubit
+    # input, parametrisations come with their Jacobians and information with
+    # its gradients in both arguments
     effects_of = _pulled_back_effects(ch, n_out)
     if din == 2:
         input_of, information = _density_bloch_from_params, _measured_input_bloch
     else:
-        information = _measured_input_fast
-
         def input_of(xr_):
-            return density_from_params(xr_, din)
+            return density_from_params(xr_, din), None
+
+        def information(rho, duals):
+            return _measured_input_fast(rho, duals), None, None
 
     def value_of(xr_, xm_):
-        return information(input_of(xr_), effects_of(xm_))
+        return information(input_of(xr_)[0], effects_of(xm_)[0])[0]
 
     def input_block(_, xm_):
-        effects = effects_of(xm_)
-        return lambda v: information(input_of(v), effects)
+        effects = effects_of(xm_)[0]
+        if din != 2:
+            return (lambda v: information(input_of(v)[0], effects)[0]), False
+
+        def objective(v):
+            rho, jac = input_of(v)
+            value, g_rho, _ = information(rho, effects)
+            return value, _pull_back(jac, g_rho)
+
+        return objective, True
 
     def povm_block(xr_, _):
-        rho = input_of(xr_)
-        return lambda v: information(rho, effects_of(v))
+        rho = input_of(xr_)[0]
+        if not qubit:
+            return (lambda v: information(rho, effects_of(v)[0])[0]), False
+
+        def objective(v):
+            effects, jac = effects_of(v)
+            value, _, g_effects = information(rho, effects)
+            return value, _pull_back(jac, g_effects)
+
+        return objective, True
+
+    def joint(v):
+        (rho, jac_rho), (effects, jac_effects) = input_of(v[:nr]), effects_of(v[nr:])
+        value, g_rho, g_effects = information(rho, effects)
+        return value, np.concatenate([_pull_back(jac_rho, g_rho), _pull_back(jac_effects, g_effects)])
 
     def run(restart, rng):
         if restart == 0 and qubit:
@@ -907,8 +1093,9 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
             _, xm, xr = _witness_inits(ch, 2, n_out)
         elif restart == 0 or (restart == 1 and qubit):
             # maximally mixed input; readout along the channel ellipsoid's
-            # dominant output axis when available, the basis otherwise
-            xr = np.zeros(nr)
+            # dominant output axis when available, the basis otherwise.  On a
+            # qubit input g = I, since g = 0 is a fallback point without slope.
+            xr = np.concatenate([np.zeros(2), np.eye(2).ravel(), np.zeros(4)]) if din == 2 else np.zeros(nr)
             xm = _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)
         else:
             cat = _best_of_draws(
@@ -927,9 +1114,10 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     best_val, (best_x, best_conv), runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
 
     # joint polish of the winning restart removes residual block zigzag
-    cat = _nelder_mead(
-        lambda v: -value_of(v[:nr], v[nr:]), best_x, maxfev=45 * len(best_x)
-    )
+    if qubit:
+        cat = _maximize(joint, best_x, 45 * len(best_x), jac=True)
+    else:
+        cat = _maximize(lambda v: value_of(v[:nr], v[nr:]), best_x, 45 * len(best_x))
     rho = density_from_params(cat[:nr], din)
     povm = Povm(tuple(povm_elements_from_params(cat[nr:], dout, n_out)))
     value = measured_input_information(ch, rho, povm)

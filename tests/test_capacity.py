@@ -77,6 +77,24 @@ class TestBlahutArimoto:
         with pytest.raises(InvariantViolation):
             blahut_arimoto(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
+    def test_binary_kernels_converge(self):
+        # over-relaxed steps that leave the lower bound flat used to stall the gap near 1e-8
+        *_, lo, hi = cap._two_point_kernels(random_channel(2, 2, seed=5001), 14)
+        assert len(lo) > 20
+        for l, h in zip(lo, hi):
+            _, _, info = blahut_arimoto(_binary_kernel(l, h), tol=1e-12, max_iters=3000, full_output=True)
+            assert info["gap"] < 1e-12
+            assert info["iterations"] - 1 < 3000
+
+    def test_final_weights_keep_the_better_start(self):
+        # a nearly duplicated row: the cold solve hits its cap short of the optimum
+        kernel = np.array([[0.9, 0.1], [0.1, 0.9], [0.1 + 1e-4, 0.9 - 1e-4], [0.5, 0.5]])
+        _, cold = blahut_arimoto(kernel, tol=1e-10, max_iters=3000)
+        _, warm = blahut_arimoto(kernel, tol=1e-15, max_iters=100000)
+        assert cap._mi_fixed_weights(warm, kernel) > cap._mi_fixed_weights(cold, kernel) + 1e-6
+        np.testing.assert_array_equal(cap._final_weights(kernel, warm), warm)
+        np.testing.assert_array_equal(cap._final_weights(kernel, np.full(4, 0.25)), cold)
+
     def test_gap_brackets_binary_closed_form(self):
         # the two solvers certify each other: lower <= C <= lower + gap
         rng = np.random.default_rng(3)
@@ -93,11 +111,10 @@ def _binary_kernel(lo, hi):
     return np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
 
 
-# Blahut-Arimoto as the reference for binary kernels.  At tol 1e-12 its gap
-# stalls near 1e-8, so nearly every call runs to its cap.  Its lower bound
-# comes within 1e-10 of the capacity in under 30 iterations on 90% of random
-# kernels and in under 1000 on all 500 tried; the slow ones have nearly equal
-# rows.  The grid tests compare each channel's best kernels, which settle early.
+# Blahut-Arimoto as the reference for binary kernels.  Its lower bound comes
+# within 1e-10 of the capacity in under 30 iterations on 90% of random kernels
+# and in under 1000 on all 500 tried; the slow ones have nearly equal rows.
+# The grid tests compare each channel's best kernels, which settle early.
 REF_BA = {"tol": 1e-12, "max_iters": 1000}
 REF_BA_GRID = {"tol": 1e-12, "max_iters": 200}
 
@@ -417,7 +434,13 @@ class TestRestartsUsed:
 
     def test_identity_stops_after_one_restart(self):
         # the first restart reaches the capacity ceiling of 1 bit
-        for estimator in (holevo_capacity, measured_input_bound):
+        estimators = (
+            holevo_capacity,
+            measured_input_bound,
+            shannon_capacity,
+            lambda ch, cfg: fixed_measurement_capacity(ch, basis_povm(2), cfg),
+        )
+        for estimator in estimators:
             res = estimator(identity_channel(2), self.CFG)
             assert abs(res.value - 1.0) < 1e-11
             assert res.restarts_used == 1
@@ -506,16 +529,16 @@ class TestBlochObjectives:
     def test_pauli_povm_matches_qr(self):
         rng = np.random.default_rng(23)
         for x in [rng.normal(size=n_povm_params(2, self.N_OUT)) for _ in range(20)] + self.degenerate_povm_params():
-            w0, w = cap._povm_pauli_from_params(x, self.N_OUT)
-            assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w))
+            (w0, w), jac = cap._povm_pauli_from_params(x, self.N_OUT)
+            assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w)) and np.all(np.isfinite(jac))
             rebuilt = w0[:, None, None] * np.eye(2) + np.einsum("bk,kij->bij", w, np.stack(cap.PAULI))
             np.testing.assert_allclose(rebuilt, povm_elements_from_params(x, 2, self.N_OUT), atol=1e-12)
 
     def test_density_bloch_matches_qr(self):
         rng = np.random.default_rng(24)
         for x in [rng.normal(size=n_density_params(2)) for _ in range(20)] + self.degenerate_density_params():
-            lam, n = cap._density_bloch_from_params(x)
-            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(n))
+            (lam, n), jac = cap._density_bloch_from_params(x)
+            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(n)) and np.all(np.isfinite(jac))
             rebuilt = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", n, np.stack(cap.PAULI)))
             np.testing.assert_allclose(rebuilt, density_from_params(x, 2), atol=1e-12)
 
@@ -525,17 +548,29 @@ class TestBlochObjectives:
             pulled = cap._pulled_back_effects(ch, self.N_OUT)
             states = pure_states_from_params(xs, 2, self.N_STATES)
             for xm_ in [xm] + self.degenerate_povm_params():
-                got = kernel(signals(xs), pulled(xm_))
+                effects, jac = pulled(xm_)
+                got = kernel(signals(xs), effects)
                 want = cap._kernel(states, cap._dual_effect_stack(ch, povm_elements_from_params(xm_, 2, self.N_OUT)))
                 assert np.all(np.isfinite(got))
                 np.testing.assert_allclose(got, want, atol=1e-12)
-                assert abs(cap._mi_fixed_weights(w, got) - cap._mi_fixed_weights(w, want)) < 1e-12
+                mi = cap._mi_fixed_weights(w, want)
+                assert abs(cap._mi_fixed_weights(w, got) - mi) < 1e-12
+                value, g_bloch, g_effects = cap._mi_bloch(w, signals(xs), effects)
+                signal_value, g_xs = cap._mi_signal_objective(w, effects, 2, self.N_STATES)[0](xs)
+                assert abs(value - mi) < 1e-12 and abs(signal_value - mi) < 1e-12
+                for g in (g_bloch, g_effects, g_xs, cap._pull_back(jac, g_effects)):
+                    assert np.all(np.isfinite(g))
 
     def test_holevo_chi(self):
-        for ch, w, xs, _, _ in self.cases():
-            got = cap._qubit_chi(w, cap._bloch_outputs_of(ch)(xs))
+        # rank-1 channels, the identity among them, give pure outputs (|r| = 1);
+        # the completely noisy channel gives |r| = 0
+        channels = [(ch, w, xs) for ch, w, xs, _, _ in self.cases()]
+        channels += [(identity_channel(2), channels[0][1], channels[0][2])]
+        channels += [(completely_noisy_channel(2), channels[1][1], channels[1][2])]
+        for ch, w, xs in channels:
+            got, grad = cap._qubit_chi_objective(ch)(w, xs)
             want = _chi_matrix_route(ch, w, pure_states_from_params(xs, 2, self.N_STATES))
-            assert np.isfinite(got)
+            assert np.isfinite(got) and np.all(np.isfinite(grad))
             assert abs(got - want) < 1e-12
 
     def test_measured_input(self):
@@ -543,11 +578,15 @@ class TestBlochObjectives:
             pulled = cap._pulled_back_effects(ch, self.N_OUT)
             for xm_ in [xm] + self.degenerate_povm_params():
                 povm = Povm(tuple(povm_elements_from_params(xm_, 2, self.N_OUT)))
+                effects, jac_effects = pulled(xm_)
                 for xr_ in [xr] + self.degenerate_density_params():
-                    got = cap._measured_input_bloch(cap._density_bloch_from_params(xr_), pulled(xm_))
+                    rho, jac_rho = cap._density_bloch_from_params(xr_)
+                    got, g_rho, g_effects = cap._measured_input_bloch(rho, effects)
                     want = measured_input_information(ch, density_from_params(xr_, 2), povm)
                     assert np.isfinite(got)
                     assert abs(got - want) < 1e-12
+                    for g in (g_rho, g_effects, cap._pull_back(jac_rho, g_rho), cap._pull_back(jac_effects, g_effects)):
+                        assert np.all(np.isfinite(g))
 
     def test_measured_input_wider_output(self):
         # dim_in 2, dim_out 3: the pulled-back effects come from the matrix route
@@ -557,9 +596,10 @@ class TestBlochObjectives:
             assert (ch.dim_in, ch.dim_out) == (2, 3)
             xm = rng.normal(size=n_povm_params(3, 4))
             elements = povm_elements_from_params(xm, 3, 4)
-            effects = cap._pulled_back_effects(ch, 4)(xm)
+            effects, jac = cap._pulled_back_effects(ch, 4)(xm)
+            assert jac is None  # so the POVM block keeps Nelder-Mead
             for xr in [rng.normal(size=n_density_params(2))] + self.degenerate_density_params():
-                got = cap._measured_input_bloch(cap._density_bloch_from_params(xr), effects)
+                got = cap._measured_input_bloch(cap._density_bloch_from_params(xr)[0], effects)[0]
                 want = measured_input_information(ch, density_from_params(xr, 2), Povm(tuple(elements)))
                 assert abs(got - want) < 1e-12
 
@@ -567,3 +607,108 @@ class TestBlochObjectives:
         ch = measured_channel(random_channel(2, 2, seed=320), trine_povm())
         res = measured_input_bound(ch, QUICK)
         assert abs(measured_input_information(ch, res.argmax_rho, res.argmax_povm) - res.value) < 1e-12
+
+
+def _central_difference(f, x, h=1e-6):
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(len(x))])
+
+
+class TestBlochGradients:
+    """The gradients of the qubit block objectives against central differences of their values."""
+
+    N_STATES, N_OUT = 4, 4
+
+    def cases(self):
+        rng = np.random.default_rng(28)
+        channels = [random_channel(2, 1 + i % 4, seed=340 + i) for i in range(12)]  # Kraus rank 1-4
+        for ch in channels + [identity_channel(2), amplitude_damping_channel(0.5)]:
+            yield (
+                ch,
+                rng.dirichlet(np.ones(self.N_STATES)),
+                rng.normal(scale=1.5, size=n_state_params(2, self.N_STATES)),
+                rng.normal(size=n_povm_params(2, self.N_OUT)),
+                rng.normal(size=n_density_params(2)),
+            )
+
+    def assert_gradient(self, objective, x):
+        grad = objective(x)[1]
+        want = _central_difference(lambda v: objective(v)[0], x)
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-7 * max(1.0, np.abs(want).max()))
+
+    def test_mi_signals(self):
+        for ch, w, xs, xm, _ in self.cases():
+            effects = cap._pulled_back_effects(ch, self.N_OUT)(xm)[0]
+            objective, jac = cap._mi_signal_objective(w, effects, 2, self.N_STATES)
+            assert jac
+            self.assert_gradient(objective, xs)
+
+    def test_mi_povm(self):
+        for ch, w, xs, xm, _ in self.cases():
+            pulled, bloch = cap._pulled_back_effects(ch, self.N_OUT), cap._bloch_of_angles(xs)[0]
+
+            def objective(v):
+                effects, jac = pulled(v)
+                value, _, g_effects = cap._mi_bloch(w, bloch, effects)
+                return value, cap._pull_back(jac, g_effects)
+
+            self.assert_gradient(objective, xm)
+
+    def test_chi(self):
+        for ch, w, xs, _, _ in self.cases():
+            chi = cap._qubit_chi_objective(ch)
+            self.assert_gradient(lambda v: chi(w, v), xs)
+
+    def test_measured_input(self):
+        for ch, _, _, xm, xr in self.cases():
+            pulled = cap._pulled_back_effects(ch, self.N_OUT)
+            for xr_ in (xr, np.concatenate([[0.0, -800.0], xr[2:]])):  # full rank, then pure
+
+                def joint(v):
+                    rho, jac_rho = cap._density_bloch_from_params(v[:10])
+                    effects, jac_effects = pulled(v[10:])
+                    value, g_rho, g_effects = cap._measured_input_bloch(rho, effects)
+                    return value, np.concatenate([cap._pull_back(jac_rho, g_rho), cap._pull_back(jac_effects, g_effects)])
+
+                self.assert_gradient(joint, np.concatenate([xr_, xm]))
+
+    def test_entropy_slope(self):
+        # dS/dlam = -slope for kept eigenvalues; dropped ones (<= EIG_CLIP) count 0
+        lam = np.array([0.7, 0.2, 1e-3, 0.5e-12, 0.0])
+        want = _central_difference(cap._eig_entropy, lam[:3], h=1e-7)
+        np.testing.assert_allclose(-cap._eig_entropy_slope(lam[:3]), want, rtol=1e-7)
+        np.testing.assert_array_equal(cap._eig_entropy_slope(lam)[3:], 0.0)
+
+    def test_mi_kernel_gradient(self):
+        rng = np.random.default_rng(29)
+        kernel = rng.dirichlet(np.ones(3), size=4)
+        kernel[1, 2] = 0.0  # a clipped entry: its gradient is taken as 0
+        w = rng.dirichlet(np.ones(4))
+        value, grad = cap._mi_and_grad(w, kernel)
+        assert value == cap._mi_fixed_weights(w, kernel)
+        assert grad[1, 2] == 0.0
+        flat = _central_difference(lambda v: cap._mi_fixed_weights(w, v.reshape(4, 3)), kernel.ravel())
+        kept = kernel.ravel() > 0.0
+        np.testing.assert_allclose(grad.ravel()[kept], flat[kept], atol=1e-8)
+
+    def test_degenerate_parameters_have_zero_jacobian(self):
+        # the matrix-route fallbacks report no slope, so L-BFGS-B stops there
+        params = TestBlochObjectives()
+        for x in params.degenerate_povm_params():
+            assert not np.any(cap._povm_pauli_from_params(x, self.N_OUT)[1])
+        for i, x in enumerate(params.degenerate_density_params()):
+            jac = cap._density_bloch_from_params(x)[1]
+            assert np.all(np.isfinite(jac))
+            if i in (0, 1, 2, 5, 6):  # zero g, zero or tiny first column
+                assert not np.any(jac)
+
+    def test_maximize_keeps_start_on_non_finite_result(self):
+        # a value and slope of 1e308 overflow inside L-BFGS-B, which then returns NaN
+        x0 = np.array([0.3, -0.2])
+
+        def overflowing(v):
+            return (-float(v @ v) if np.all(np.abs(v) < 1.0) else -np.inf), np.full_like(v, -1e308)
+
+        with np.errstate(all="ignore"):
+            x = cap._maximize(overflowing, x0, 100, jac=True)
+        np.testing.assert_array_equal(x, x0)
