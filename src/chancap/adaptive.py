@@ -25,6 +25,7 @@ from .capacity import (
     _best_of_draws,
     _best_restart,
     _block_ascent,
+    _block_weights,
     _kernel,
     _mi_fixed_weights,
 )
@@ -158,8 +159,12 @@ def second_stage_ensemble(
 ) -> tuple[Ensemble | None, float]:
     """Conditional ensemble on the second subsystem given first outcome ``b``.
 
-    The conditional states are the first-subsystem-contracted blocks
-    normalised by p(b|j); the weights are the posterior p(j|b).  Returns
+    The conditional states are the first-subsystem-contracted blocks, of
+    trace p(b|j), normalised to unit trace; the weights are the posterior
+    p(j|b).  Normalising a block of tiny p(b|j) lifts its rounding to
+    eigenvalues below 0 (about -1e-6 where p(b|j) ~ 1e-10), so every block
+    is first projected onto the PSD cone; that moves it by about the size of
+    its negative eigenvalues, and a PSD block only by rounding.  Returns
     ``(None, 0.0)`` when the outcome probability is below the floor.
     """
     f_b = dual_povm(ch1, m1).elements[b]
@@ -177,8 +182,9 @@ def second_stage_ensemble(
         if weight <= PROB_FLOOR:
             continue
         block = partial_trace(s @ effect, list(dims), keep=[1])
-        block = hermitize(block, atol=1e-10)
-        states.append(block / pbj)
+        lam, vec = np.linalg.eigh(hermitize(block, atol=1e-10))
+        lam = np.clip(lam, 0.0, None)
+        states.append((vec * (lam / lam.sum())) @ vec.conj().T)
         posts.append(weight)
     posts = np.asarray(posts)
     return Ensemble(posts / posts.sum(), tuple(states)), p_b
@@ -245,7 +251,7 @@ def best_conditional_information(
 
     Ensembles hold up to ``cfg.ensemble_size_cap`` pure states on the product
     space; stages are two-outcome projective measurements.  Weights come from
-    Blahut-Arimoto on the flattened kernel.  The value is a feasible lower
+    the exact weight solve on the flattened kernel.  The value is a feasible lower
     bound on the conditional-measurement supremum.
     """
     depth = len(channels)
@@ -267,11 +273,11 @@ def best_conditional_information(
         return c
 
     def state_block(_, xm):
-        w, effects = last["w"], effects_of(xm)[0]
+        w, effects = _block_weights(last["w"]), effects_of(xm)[0]
         return (lambda v: _mi_fixed_weights(w, _kernel(pure_states_from_params(v, dim_total, n_states), effects))), False
 
     def strategy_block(xs, _):
-        w, states = last["w"], pure_states_from_params(xs, dim_total, n_states)
+        w, states = _block_weights(last["w"]), pure_states_from_params(xs, dim_total, n_states)
         return (lambda v: _mi_fixed_weights(w, _kernel(states, effects_of(v)[0]))), False
 
     def run(restart, rng):

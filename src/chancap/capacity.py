@@ -1,10 +1,12 @@
-"""Capacity estimators: Blahut-Arimoto plus alternating local search.
+"""Capacity estimators: exact input-weight solves inside alternating local search.
 
-The reported capacity values are feasible-point lower bounds on the
-corresponding suprema: every returned number is the exact objective value at
-the returned ensemble / POVM / state, so re-evaluating the objective at the
-argmax reproduces it.  A deterministic Bloch-grid brute force provides an
-independent cross-check for qubit channels.
+At fixed signals and POVM, the input weights maximise a concave function on
+the simplex (mutual information, or chi); ``_simplex_newton`` solves it
+exactly by active-set Newton steps.  The reported capacity values are
+feasible-point lower bounds on the corresponding suprema: every returned
+number is the exact objective value at the returned ensemble / POVM / state,
+so re-evaluating the objective at the argmax reproduces it.  A deterministic
+Bloch-grid brute force provides an independent cross-check for qubit channels.
 
 On a qubit side the block objectives work in Bloch coordinates: a qubit
 channel is the affine map n -> T n + t on Bloch vectors, signal states are
@@ -124,8 +126,73 @@ def qubit_povm_effects(m: Povm) -> list[QubitEffect]:
 
 
 # ---------------------------------------------------------------------------
-# Blahut-Arimoto for the classical inner problem
+# Input weights: exact Newton solves on the simplex
 # ---------------------------------------------------------------------------
+
+# Damping of each face Hessian, relative to its largest diagonal entry (at
+# least 1).  The Hessians are singular (rank <= n_out for mutual information,
+# <= d^2 for chi), so a step along a flat direction is long and the ratio
+# test ends it.
+_NEWTON_DAMPING = 1e-12
+
+
+def _simplex_newton(fgh, p0: np.ndarray, tol: float, max_iters: int):
+    """Maximise a concave f over the probability simplex by active-set Newton steps.
+
+    ``fgh(p)`` returns (f, gradient, Hessian); vertices toward which f has
+    +inf slope enter first.  A ratio test sets the weight blocking a step to
+    exactly 0; backtracking accepts a step once f rises, or once the model's
+    predicted rise is below rounding.  Stops once the KKT gap max_j g_j - p.g
+    falls below ``tol`` or after ``max_iters`` steps.  Returns (f, p, f after
+    each step with the start first, gap) at the last point.
+    """
+    p = np.array(p0, dtype=float)
+    value, g, h = fgh(p)
+    history, max_iters = [value], max(int(max_iters), 0)
+    for step in range(max_iters + 1):
+        gap = max(float(g.max() - p @ g), 0.0) if np.all(np.isfinite(g)) else np.inf
+        if not gap >= tol or step == max_iters:
+            break
+        if np.isinf(gap):
+            enter = ~np.isfinite(g)
+            d, t, slope, curv = enter / enter.sum() - p, 0.5, 0.0, 0.0
+        else:  # Newton on the support's face, joined by the row j of largest gradient
+            j = int(np.argmax(g))
+            idx = np.flatnonzero((p > 0.0) | (np.arange(len(p)) == j))
+            k = len(idx)
+            bordered = np.ones((k + 1, k + 1))
+            bordered[:k, :k], bordered[k, k] = -h[np.ix_(idx, idx)], 0.0
+            bordered[:k, :k] += _NEWTON_DAMPING * max(float(bordered.diagonal().max()), 1.0) * np.eye(k)
+            d = np.zeros_like(p)
+            d[idx] = np.linalg.solve(bordered, np.append(g[idx] - p @ g, 0.0))[:k]
+            slope = float(g @ d)
+            if not (slope > 0.0 and (p[j] > 0.0 or d[j] > 0.0)):  # j would leave again: move weight to j
+                d, slope = -p, gap
+                d[j] += 1.0
+            curv = float(d @ h @ d)
+            t = slope / max(-curv, slope)  # the model's maximiser, capped at 1
+        shrink = d < 0.0
+        ratios = np.where(shrink, p / np.where(shrink, -d, 1.0), np.inf)
+        block = int(np.argmin(ratios))
+        t = min(t, ratios[block])
+        rounding = 1e-14 * max(1.0, abs(value))
+        for _ in range(60):
+            cand = p + t * d
+            if t >= ratios[block]:
+                cand[block] = 0.0
+            cand = np.maximum(cand, 0.0)
+            cand /= cand.sum()
+            new = fgh(cand)
+            pred = t * slope + 0.5 * t * t * curv
+            if new[0] - value >= 1e-4 * pred or (pred <= rounding and new[0] >= value - rounding):
+                break
+            t *= 0.5
+        else:
+            break
+        p, (value, g, h) = cand, new
+        history.append(value)
+    return value, p, history, gap
+
 
 def blahut_arimoto(
     kernel: np.ndarray,
@@ -136,13 +203,17 @@ def blahut_arimoto(
 ):
     """Capacity (bits) of the discrete channel p(b|j) over input distributions.
 
-    Iterates the classical alternating update; the running lower bound is
-    monotone nondecreasing, and iteration stops once the standard upper/lower
-    capacity gap max_j D_j - sum_j r_j D_j falls below ``tol``.
+    A name kept for the API: the solver is ``_simplex_newton`` with gradient
+    D_j = D(p(.|j) || q) and Hessian -K diag(1/q) K^T / ln 2, stopped once
+    the gap max_j D_j - sum_j r_j D_j falls below ``tol``.  ``init_weights``
+    start it as given; a cold start is uniform on the n_out + 1 rows of
+    largest D_j at uniform weights (all rows when there are no more), plus
+    rows until every output some row reaches is reached.
 
     Returns ``(capacity, weights)``, or ``(capacity, weights, info)`` with the
     per-iteration lower-bound history and the final gap upper - lower (the
     capacity lies in [capacity, capacity + gap]) when ``full_output`` is set.
+    The capacity is the mutual information at the returned weights.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] < 1:
@@ -155,50 +226,31 @@ def blahut_arimoto(
         raise InvariantViolation("kernel rows must each sum to 1")
     k = k / row_sums[:, None]
 
-    n_in = k.shape[0]
-    if init_weights is not None and len(init_weights) == n_in and np.min(init_weights) >= 0:
-        r = np.asarray(init_weights, dtype=float) + 1e-9
-        r = r / r.sum()
-    else:
-        r = np.full(n_in, 1.0 / n_in)
-
+    n_in, n_out = k.shape
     mask = k > 0.0
     logk = np.where(mask, np.log2(np.where(mask, k, 1.0)), 0.0)
 
-    def divergences(weights):
-        pbar = weights @ k
-        safe = np.where(pbar > 0.0, pbar, 1.0)
-        return np.sum(np.where(mask, k * (logk - np.log2(safe)[None, :]), 0.0), axis=1)
+    def fgh(r):
+        q = r @ k
+        reached = q > 0.0
+        terms = np.where(mask, k * (logk - np.log2(np.where(reached, q, 1.0))), 0.0)
+        div = np.where((mask & ~reached).any(axis=1), np.inf, terms.sum(axis=1))
+        scaled = k[:, reached] / np.sqrt(q[reached])
+        return float(r[r > 0.0] @ div[r > 0.0]), div, -(scaled @ scaled.T) / np.log(2.0)
 
-    def step(gamma):
-        cand = r * np.exp2(gamma * (d - upper))
-        cand = cand / cand.sum()
-        d_cand = divergences(cand)
-        return cand, d_cand, float(cand @ d_cand)
+    if init_weights is not None and len(init_weights) == n_in and np.min(init_weights) >= 0 and np.sum(init_weights) > 0:
+        r = np.asarray(init_weights, dtype=float) / np.sum(init_weights)
+    else:
+        div = fgh(np.full(n_in, 1.0 / n_in))[1]
+        rows = np.isin(np.arange(n_in), np.argsort(-div, kind="stable")[: n_out + 1])
+        while (missed := mask.any(axis=0) & ~mask[rows].any(axis=0)).any():
+            rows[np.argmax(np.where(mask[:, np.argmax(missed)], div, -np.inf))] = True
+        r = rows / rows.sum()
 
-    d = divergences(r)
-    lower = float(r @ d)
-    upper = float(d.max())
-    history = [lower]
-    gamma = 1.0  # over-relaxation exponent
-    for _ in range(int(max_iters)):
-        if upper - lower < tol:
-            break
-        cand, d_cand, lower_cand = step(gamma)
-        if gamma > 1.0 and not lower_cand > lower:
-            # an over-relaxed step that does not raise the bound can overshoot
-            # while the bound is flat and stall the gap: take the plain step
-            gamma = 1.0
-            cand, d_cand, lower_cand = step(gamma)
-        r, d = cand, d_cand
-        lower = max(lower_cand, lower)
-        upper = float(d.max())
-        history.append(lower)
-        gamma = min(1.5 * gamma, 16.0)
-
+    value, r, history, gap = _simplex_newton(fgh, r, tol, max_iters)
     if full_output:
-        return lower, r, {"lower_bounds": history, "iterations": len(history), "gap": upper - lower}
-    return lower, r
+        return value, r, {"lower_bounds": history, "iterations": len(history), "gap": gap}
+    return value, r
 
 
 def _binary_capacity(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -758,20 +810,21 @@ def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) ->
 # Shannon capacity
 # ---------------------------------------------------------------------------
 
-def _final_weights(kern: np.ndarray, warm: np.ndarray) -> np.ndarray:
-    """Input weights on a search's final kernel: a cold Blahut-Arimoto run's or the sweep's warm ones.
+# Least weight a signal carries into the signal and POVM blocks: an exact
+# weight solve drops signals to weight 0, where the blocks give them no slope
+# to come back.  Sweep values and warm starts keep the exact weights.
+_BLOCK_WEIGHT_FLOOR = 1e-6
 
-    The warm weights win when they give more mutual information: where two
-    rows nearly coincide the cold run can stop short of them.
-    """
-    _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
-    return warm if _mi_fixed_weights(warm, kern) > _mi_fixed_weights(weights, kern) else weights
+
+def _block_weights(weights: np.ndarray) -> np.ndarray:
+    floored = np.maximum(weights, _BLOCK_WEIGHT_FLOOR)
+    return floored / floored.sum()
 
 
 def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible mutual information over ensembles and product POVMs.
 
-    Alternates (i) signal-state local search with Blahut-Arimoto weights on
+    Alternates (i) signal-state local search with exactly solved weights on
     the induced classical kernel against (ii) POVM local search over the
     rank-1 isometry parametrisation, keeping the best of ``cfg.restarts``
     deterministic seeds.  The value is a lower bound on the true supremum.
@@ -813,10 +866,10 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
 
         # weights from the sweep-start kernel stay fixed inside both blocks
         def signal_block(_, xm_):
-            return _mi_signal_objective(warm["w"], pulled(xm_)[0], din, n_states)
+            return _mi_signal_objective(_block_weights(warm["w"]), pulled(xm_)[0], din, n_states)
 
         def povm_block(xs_, _):
-            w, states = warm["w"], signals(xs_)
+            w, states = _block_weights(warm["w"]), signals(xs_)
             if not qubit:
                 return (lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)[0]))), False
 
@@ -831,8 +884,7 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
 
         states = pure_states_from_params(xs, din, n_states)
         elements = povm_elements_from_params(xm, dout, n_out)
-        kern = _kernel(states, _dual_effect_stack(ch, elements))
-        weights = _final_weights(kern, warm["w"])
+        _, weights = blahut_arimoto(_kernel(states, _dual_effect_stack(ch, elements)), tol=1e-10, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
         povm = Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
@@ -876,13 +928,12 @@ def fixed_measurement_capacity(
         xs = _signal_inits(din, n_states, restart, rng, ba_value)
 
         def signal_block(_):
-            return _mi_signal_objective(warm["w"], input_effects, din, n_states)
+            return _mi_signal_objective(_block_weights(warm["w"]), input_effects, din, n_states)
 
         (xs,), _, converged = _block_ascent([xs], ba_value, [signal_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
-        kern = _kernel(states, effects)
-        weights = _final_weights(kern, warm["w"])
+        _, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
         if ch is not None:
             value = channel_mutual_information(ch, ensemble, m)
@@ -902,79 +953,43 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
     return _eig_entropy(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
 
 
-def _entropy_and_log2_psd2(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Entropy (bits) and base-2 logarithm of a 2x2 PSD matrix, closed form.
-
-    Eigenvalues floored at the clipping threshold so singular averages stay
-    usable inside gradient ascent.
-    """
-    t = m[0, 0].real + m[1, 1].real
-    delta = m - 0.5 * t * np.eye(2)
-    s = np.sqrt(max((delta @ delta).trace().real / 2.0, 0.0))
-    hi = max(t / 2.0 + s, EIG_CLIP)
-    lo = max(t / 2.0 - s, EIG_CLIP)
-    ent = -(hi * np.log2(hi) + lo * np.log2(lo))
-    if s < 1e-15:
-        return ent, 0.5 * np.log2(hi * lo) * np.eye(2, dtype=complex)
-    alpha = 0.5 * np.log2(hi * lo)
-    beta = 0.5 * np.log2(hi / lo) / s
-    return ent, alpha * np.eye(2, dtype=complex) + beta * delta
-
-
 def max_holevo_weights(
     outputs: np.ndarray,
     tol: float = 1e-9,
     max_iters: int = 600,
     init_weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Maximise chi over the weight simplex for fixed channel outputs.
+    """Maximise chi over the weight simplex for fixed channel outputs, at any dimension.
 
-    Exponentiated-gradient ascent with backtracking; chi is concave in the
-    weights, and the gradient components are the relative entropies of each
-    output to the average, so max_j grad_j - chi bounds the optimality gap.
+    Solved by ``_simplex_newton``: the gradient g_j = -S(rho_j) - Tr rho_j
+    log2 rhobar is each output's relative entropy to the average (+inf when
+    more than 1e-9 of its trace lies off the average's support), and one
+    ``eigh`` of the average gives the Hessian through the divided differences
+    of log, over that support.  Stops once max_j g_j - chi falls below
+    ``tol``; the cold start is uniform.
     """
     outs = np.asarray(outputs, dtype=complex)
-    n = outs.shape[0]
-    s_each = _entropy_stack(outs)
-    if init_weights is not None and len(init_weights) == n and np.min(init_weights) >= 0:
-        pi = np.asarray(init_weights, dtype=float) + 1e-10
-        pi = pi / pi.sum()
+    s_each, traces = _entropy_stack(outs), np.einsum("jaa->j", outs).real
+
+    def fgh(p):
+        lam, vec = np.linalg.eigh(np.einsum("j,jab->ab", p, outs))
+        kept = lam > EIG_CLIP
+        lam, vec = lam[kept], vec[:, kept]
+        log_lam = np.log2(lam)
+        rotated = np.einsum("ai,jab,bk->jik", vec.conj(), outs, vec)  # outputs in the average's eigenbasis
+        inside = np.einsum("jii->ji", rotated).real
+        grad = np.where(traces - inside.sum(axis=1) > 1e-9, np.inf, -s_each - inside @ log_lam)
+        ratio = lam[:, None] / lam[None, :] - 1.0
+        same = ratio == 0.0
+        dlog = np.where(same, 1.0, np.log1p(ratio) / np.where(same, 1.0, ratio)) / lam[None, :]
+        hess = -np.einsum("jab,kba,ab->jk", rotated, rotated, dlog).real / np.log(2.0)
+        return float(-(lam * log_lam).sum() - p @ s_each), grad, hess
+
+    if init_weights is not None and len(init_weights) == len(outs) and np.min(init_weights) >= 0 and np.sum(init_weights) > 0:
+        pi = np.asarray(init_weights, dtype=float) / np.sum(init_weights)
     else:
-        pi = np.full(n, 1.0 / n)
-
-    dim = outs.shape[-1]
-
-    def chi_and_logavg(p):
-        avg = np.einsum("j,jab->ab", p, outs)
-        if dim == 2:
-            ent, log_avg = _entropy_and_log2_psd2(avg)
-            return float(ent - p @ s_each), log_avg
-        lam, vec = np.linalg.eigh(avg)
-        lam = np.clip(lam, EIG_CLIP, None)
-        chi_val = float(-(lam * np.log2(lam)).sum() - p @ s_each)
-        return chi_val, (vec * np.log2(lam)) @ vec.conj().T
-
-    chi, log_avg = chi_and_logavg(pi)
-    eta = 1.0
-    for _ in range(int(max_iters)):
-        grad = -s_each - np.einsum("jab,ba->j", outs, log_avg).real
-        gap = float(grad.max() - chi)
-        if gap < tol:
-            break
-        eta = min(eta * 2.0, 8.0)
-        accepted = False
-        while eta > 1e-8:
-            cand = pi * np.exp2(eta * (grad - grad.max()))
-            cand = cand / cand.sum()
-            chi_cand, log_cand = chi_and_logavg(cand)
-            if chi_cand >= chi:
-                stalled = chi_cand - chi < 1e-13
-                pi, chi, log_avg = cand, chi_cand, log_cand
-                accepted = not stalled
-                break
-            eta *= 0.5
-        if not accepted:
-            break
+        pi = np.full(len(outs), 1.0 / len(outs))
+    chi, pi, _, _ = _simplex_newton(fgh, pi, tol, max_iters)
     return chi, pi
 
 
@@ -1008,14 +1023,13 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         xs = _signal_inits(din, n_states, restart, rng, chi_value)
 
         def signal_block(_):
-            w = warm["w"]
+            w = _block_weights(warm["w"])
             return (lambda v: chi_fixed(w, v)), qubit
 
         (xs,), _, converged = _block_ascent([xs], chi_value, [signal_block], cfg)
 
         states = pure_states_from_params(xs, din, n_states)
-        outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
-        _, weights = max_holevo_weights(outs, tol=1e-11, max_iters=3000)
+        _, weights = max_holevo_weights(outputs_of(xs), tol=1e-11, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
         value = holevo_information(ch, ensemble)
         return value, CapacityResult(value, ensemble, converged=converged)
@@ -1025,15 +1039,17 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
 
 
 # ---------------------------------------------------------------------------
-# Measured-input upper bound
+# Measured-input bound
 # ---------------------------------------------------------------------------
 
 def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible value of the measured-input information over (rho, POVM).
 
     The average input is parametrised full rank (eigenvalue simplex times a
-    unitary) and the POVM by the rank-1 isometry construction; the result is
-    a lower bound on the supremum that upper-bounds the Shannon capacity.
+    unitary) and the POVM by the rank-1 isometry construction.  The result is
+    a feasible value of the bound's objective, so at most its supremum; the
+    supremum upper-bounds the Shannon capacity, but this value certifies no
+    upper bound.
     """
     din, dout = ch.dim_in, ch.dim_out
     n_out = max(cfg.povm_size_cap, dout)
@@ -1250,8 +1266,8 @@ def qubit_grid_oracle(
 
     Candidate signals are the grid of pure states; candidate measurements are
     two-outcome projective POVMs along grid directions (arity 2) or trine
-    POVMs rotated through the grid planes (arity 3), where Blahut-Arimoto
-    supplies the input weights.  No randomness is involved.
+    POVMs rotated through the grid planes (arity 3), where the exact weight
+    solve supplies the input weights.  No randomness is involved.
 
     For a two-outcome measurement the outcome statistics of every candidate
     lie on a segment, so the optimum uses the two extreme conditional
@@ -1277,11 +1293,7 @@ def qubit_grid_oracle(
                 dirs = np.zeros((3, 3))
                 for i, ang in enumerate(off + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])):
                     dirs[i, ax1], dirs[i, ax2] = np.cos(ang), np.sin(ang)
-                kern = (1.0 + bloch_out @ dirs.T) / 3.0
-                kern = np.clip(kern, 0.0, None)
-                kern = kern / kern.sum(axis=1, keepdims=True)
-                c, _ = blahut_arimoto(kern, tol=1e-9, max_iters=800)
-                best = max(best, c)
+                best = max(best, blahut_arimoto((1.0 + bloch_out @ dirs.T) / 3.0, tol=1e-9, max_iters=800)[0])
     return best
 
 

@@ -188,6 +188,23 @@ class TestChainIdentity:
             worst = max(worst, gap)
         assert worst <= 1e-9
 
+    def test_search_witness_with_tiny_outcome_probabilities(self):
+        # the witness of the seeded search reaches p(b|j) ~ 1e-10, where dividing
+        # its conditional blocks by p(b|j) left eigenvalues near -1e-6
+        from chancap.adaptive import _product_ensemble, _projective_like
+
+        budget = OptimizerConfig(restarts=2, max_iters=4, tol=1e-6, seed=17)
+        ch1, ch2 = random_channel(2, 1, seed=0), random_channel(2, 2, seed=1)
+        r1, r2 = shannon_capacity(ch1, budget), shannon_capacity(ch2, budget)
+        second = _projective_like(r2.argmax_povm)
+        init = AdaptiveStrategy(2, {(): _projective_like(r1.argmax_povm), (0,): second, (1,): second})
+        _, e12, strat = best_conditional_information(
+            [ch1, ch2], budget, init_ensemble=_product_ensemble(r1, r2), init_strategy=init
+        )
+        cp = ConditionalPovm(strat.stage(()), (strat.stage((0,)), strat.stage((1,))))
+        _, _, gap = chain_identity_check(e12, ch1, ch2, cp)
+        assert gap <= 1e-9
+
     def test_unconditioned_special_case(self):
         rng = np.random.default_rng(5)
         m2 = random_povm(2, 2, rng)

@@ -78,7 +78,7 @@ class TestBlahutArimoto:
             blahut_arimoto(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
     def test_binary_kernels_converge(self):
-        # over-relaxed steps that leave the lower bound flat used to stall the gap near 1e-8
+        # the grid's binary kernels, several with nearly equal rows, reach a 1e-12 gap
         *_, lo, hi = cap._two_point_kernels(random_channel(2, 2, seed=5001), 14)
         assert len(lo) > 20
         for l, h in zip(lo, hi):
@@ -86,14 +86,14 @@ class TestBlahutArimoto:
             assert info["gap"] < 1e-12
             assert info["iterations"] - 1 < 3000
 
-    def test_final_weights_keep_the_better_start(self):
-        # a nearly duplicated row: the cold solve hits its cap short of the optimum
+    def test_nearly_duplicated_row_reaches_the_reference(self):
+        # a nearly duplicated row, where a first-order loop stops 1e-6 short at this budget
         kernel = np.array([[0.9, 0.1], [0.1, 0.9], [0.1 + 1e-4, 0.9 - 1e-4], [0.5, 0.5]])
-        _, cold = blahut_arimoto(kernel, tol=1e-10, max_iters=3000)
-        _, warm = blahut_arimoto(kernel, tol=1e-15, max_iters=100000)
-        assert cap._mi_fixed_weights(warm, kernel) > cap._mi_fixed_weights(cold, kernel) + 1e-6
-        np.testing.assert_array_equal(cap._final_weights(kernel, warm), warm)
-        np.testing.assert_array_equal(cap._final_weights(kernel, np.full(4, 0.25)), cold)
+        value, weights, info = blahut_arimoto(kernel, tol=1e-10, max_iters=3000, full_output=True)
+        ref = _reference_ba(kernel, tol=1e-15, max_iters=100000)
+        assert info["gap"] < 1e-10
+        assert value >= ref - 1e-15
+        assert abs(value - cap._mi_fixed_weights(weights, kernel)) <= 1e-14
 
     def test_gap_brackets_binary_closed_form(self):
         # the two solvers certify each other: lower <= C <= lower + gap
@@ -111,12 +111,151 @@ def _binary_kernel(lo, hi):
     return np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
 
 
-# Blahut-Arimoto as the reference for binary kernels.  Its lower bound comes
-# within 1e-10 of the capacity in under 30 iterations on 90% of random kernels
-# and in under 1000 on all 500 tried; the slow ones have nearly equal rows.
-# The grid tests compare each channel's best kernels, which settle early.
-REF_BA = {"tol": 1e-12, "max_iters": 1000}
-REF_BA_GRID = {"tol": 1e-12, "max_iters": 200}
+def _reference_ba(kernel, tol, max_iters):
+    """Plain multiplicative Blahut-Arimoto, the reference for the Newton solver.
+
+    Returns the mutual information at its last weights, reached once the gap
+    max_j D_j - that information falls below ``tol`` or after ``max_iters`` steps.
+    """
+    k = np.asarray(kernel, dtype=float)
+    mask = k > 0.0
+    logk = np.where(mask, np.log2(np.where(mask, k, 1.0)), 0.0)
+    r = np.full(len(k), 1.0 / len(k))
+
+    def divergences(weights):
+        q = weights @ k
+        return np.where(mask, k * (logk - np.log2(np.where(q > 0.0, q, 1.0))), 0.0).sum(axis=1)
+
+    d = divergences(r)
+    for _ in range(max_iters):
+        if d.max() - r @ d < tol:
+            break
+        r = r * np.exp2(d - d.max())
+        r = r / r.sum()
+        d = divergences(r)
+    return float(r @ d)
+
+
+def _trine_kernels(ch, density):
+    """The arity-3 kernels of ``qubit_grid_oracle``: grid states against rotated trines."""
+    bloch_out = cap._bloch_of_outputs(ch, cap._grid_directions(density))
+    kernels = []
+    for ax1, ax2 in [(0, 1), (0, 2), (1, 2)]:
+        for off in np.linspace(0.0, 2 * np.pi / 3, density, endpoint=False):
+            dirs = np.zeros((3, 3))
+            angles = off + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+            dirs[:, ax1], dirs[:, ax2] = np.cos(angles), np.sin(angles)
+            kern = np.clip((1.0 + bloch_out @ dirs.T) / 3.0, 0.0, None)
+            kernels.append(kern / kern.sum(axis=1, keepdims=True))
+    return kernels
+
+
+def _random_kernels(rng, count):
+    """(kernel, warm start or None) pairs: 2-16 inputs x 2-16 outputs, with the hard cases mixed in."""
+    cases = []
+    for i in range(count):
+        n, m = rng.integers(2, 17, size=2)
+        k = rng.dirichlet(np.full(m, rng.choice([0.1, 0.5, 1.0, 5.0])), size=n)
+        if i % 3 == 0:  # a nearly duplicated row
+            k[1] = (1.0 - 1e-5) * k[0] + 1e-5 * rng.dirichlet(np.ones(m))
+        if i % 5 == 0 and m > 2:  # an output no input reaches
+            k[:, 0] = 0.0
+        if i % 4 == 0:  # sparse rows: infinite divergences at warm starts
+            k = np.where(k < 0.05, 0.0, k)
+        k[:, -1] += k.sum(axis=1) == 0.0
+        k = k / k.sum(axis=1, keepdims=True)
+        warm = None
+        if i % 2:
+            warm = rng.dirichlet(np.ones(n))
+            warm[rng.random(n) < 0.4] = 0.0
+            warm[i % n] += 0.1
+        cases.append((k, warm))
+    return cases
+
+
+class TestNewtonWeights:
+    def test_mutual_information_matches_reference(self):
+        rng = np.random.default_rng(20)
+        cases = _random_kernels(rng, 500) + [(k, None) for k in _trine_kernels(identity_channel(2), 20)]
+        most = 0
+        for kernel, warm in cases:
+            value, weights, info = blahut_arimoto(kernel, tol=1e-12, max_iters=3000, full_output=True, init_weights=warm)
+            ref = _reference_ba(kernel, tol=1e-13, max_iters=300)
+            assert value >= ref - 1e-13
+            assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) < 1e-14
+            assert info["gap"] < 1e-12
+            assert abs(value - cap._mi_fixed_weights(weights, kernel)) <= 1e-14
+            most = max(most, info["iterations"] - 1)
+        assert most <= 30
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_chi_identical_pure_outputs(self, dim):
+        v = random_unitary(dim, np.random.default_rng(dim))[:, 0]
+        chi, weights = max_holevo_weights(np.stack([np.outer(v, v.conj())] * 5), tol=1e-11, max_iters=3000)
+        assert abs(chi) < 1e-14
+        assert abs(weights.sum() - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_chi_of_commuting_outputs_is_classical(self, dim):
+        # outputs diagonal in one basis: chi is the mutual information of their
+        # eigenvalue kernel; at rank dim - 1 the average is rank-deficient
+        rng = np.random.default_rng(30 + dim)
+        for rank in (dim, dim - 1):
+            for trial in range(10):
+                n = int(rng.integers(2, 9))
+                kernel = np.zeros((n, dim))
+                kernel[:, :rank] = rng.dirichlet(np.full(rank, 0.7), size=n)
+                if trial % 2:
+                    kernel = np.where(kernel < 0.1, 0.0, kernel)
+                    kernel[:, 0] += kernel.sum(axis=1) == 0.0
+                    kernel = kernel / kernel.sum(axis=1, keepdims=True)
+                u = random_unitary(dim, rng)
+                outs = np.stack([(u * row) @ u.conj().T for row in kernel])
+                warm = None
+                if trial % 3 == 0:
+                    warm = rng.dirichlet(np.ones(n))
+                    warm[rng.random(n) < 0.5] = 0.0
+                    warm[-1] += 0.1
+                chi, weights = max_holevo_weights(outs, tol=1e-11, max_iters=3000, init_weights=warm)
+                ref = _reference_ba(kernel, tol=1e-13, max_iters=300)
+                assert chi >= ref - 1e-13
+                assert abs(chi - blahut_arimoto(kernel, tol=1e-12, max_iters=3000)[0]) < 1e-11
+                assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_chi_hessian_matches_gradient_differences(self, dim, monkeypatch):
+        from chancap.rand import random_density_matrix
+
+        solve = cap._simplex_newton
+        seen = []
+
+        def spy(fgh, *args):
+            seen.append(fgh)
+            return solve(fgh, *args)
+
+        monkeypatch.setattr(cap, "_simplex_newton", spy)
+        rng = np.random.default_rng(40 + dim)
+        max_holevo_weights(np.stack([random_density_matrix(dim, rng) for _ in range(4)]))
+        fgh = seen[0]
+        p = rng.dirichlet(np.ones(4))
+        _, grad, hess = fgh(p)
+        step = 1e-6
+        columns = [(fgh(p + step * e)[1] - fgh(p - step * e)[1]) / (2 * step) for e in np.eye(4)]
+        np.testing.assert_allclose(np.stack(columns, axis=1), hess, atol=1e-7)
+        for e in np.eye(4):
+            slope = (fgh(p + step * (e - p))[0] - fgh(p - step * (e - p))[0]) / (2 * step)
+            assert abs(slope - (e - p) @ grad) < 1e-7
+
+    def test_dropped_signals_stay_alive(self):
+        # the qutrit unitary channel of the qudit workload: with exact zero weights
+        # handed to the blocks, the search froze at 1 bit
+        budget = OptimizerConfig(restarts=2, max_iters=4, tol=1e-6, seed=17)
+        assert shannon_capacity(random_channel(3, 1, seed=31 * 1_000_003), budget).value >= 1.5
+
+
+# The weight solver as the reference for binary kernels.  The grid tests
+# compare each channel's best kernels.
+REF_BA = {"tol": 1e-12}
 
 
 class TestBinaryCapacity:
@@ -389,7 +528,7 @@ def _ba_two_point_loop(ch, density):
         jlo, jhi = int(np.argmin(p[:, col])), int(np.argmax(p[:, col]))
         lo, hi = float(p[jlo, col]), float(p[jhi, col])
         if hi - lo >= 1e-12:
-            c, _ = blahut_arimoto(_binary_kernel(lo, hi), **REF_BA_GRID)
+            c, _ = blahut_arimoto(_binary_kernel(lo, hi), **REF_BA)
             rows.append((c, grid[jlo], grid[jhi], meas[col]))
     return rows
 
