@@ -13,7 +13,9 @@ channel is the affine map n -> T n + t on Bloch vectors, signal states are
 Bloch vectors, effects are Pauli forms E = e0 I + e . sigma, and every
 objective is a few operations on real 3-vectors.  These evaluate the same
 numbers as the matrix route from the same parameters, together with their
-closed-form gradients, so each such block is solved by L-BFGS-B.  Every
+closed-form gradients (pulled back to the parameters in reverse mode), so
+each such block is solved by L-BFGS-B; on a 2->2 channel the Shannon and
+measured-input searches solve all their parameters in one block.  Every
 other dimension keeps the matrix route and Nelder-Mead, and the final exact
 re-evaluation always takes the matrix route.  L-BFGS-B stops at once when
 started exactly at a stationary point, such as equatorial signals under a
@@ -55,8 +57,8 @@ class OptimizerConfig:
             raise InvariantViolation(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iters < 0:
             raise InvariantViolation(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.tol <= 0:
-            raise InvariantViolation("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise InvariantViolation(f"tol must be positive and finite, got {self.tol}")
         if self.ensemble_size_cap < 2 or self.povm_size_cap < 2:
             raise InvariantViolation("size caps must be at least 2")
 
@@ -412,17 +414,11 @@ def _eig_entropy_slope(lam: np.ndarray) -> np.ndarray:
 # A qubit state is rho = (I + n . sigma) / 2 and an effect E = e0 I + e . sigma,
 # so Tr(rho E) = e0 + n . e.  Each helper returns, from the same parameters,
 # the Bloch or Pauli form of the matrix its ``*_from_params`` counterpart
-# builds, with its Jacobian: the first axis runs over the parameters and the
-# others match the returned form, so ``_pull_back`` turns a gradient in that
-# form into one in the parameters.  Where a helper takes the matrix route
-# (degenerate parameters) its Jacobian is zero.
+# builds, with its pull-back: a callable taking a gradient in that form to
+# the gradient in the parameters (a vector-Jacobian product).  Where a helper
+# takes the matrix route (degenerate parameters) its pull-back returns zeros.
 
 _PAULI_STACK = np.stack(PAULI)
-
-
-def _pull_back(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient in the parameters of a gradient in a helper's returned form."""
-    return jac.reshape(len(jac), -1) @ np.ravel(grad)
 
 
 def _pauli_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,18 +433,17 @@ def _affine_bloch_map(ch: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
     return (_bloch_of_outputs(ch, np.eye(3)) - shift).T, shift[0]
 
 
-def _bloch_of_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors (rows) of ``pure_states_from_params(x, 2, n)``, and their Jacobian."""
+def _bloch_of_angles(x: np.ndarray):
+    """Bloch vectors (rows) of ``pure_states_from_params(x, 2, n)``, and their pull-back."""
     theta, phi = x[0::2], x[1::2]
-    n = len(theta)
     s, c, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    out = np.empty((n, 3))
-    out[:, 0], out[:, 1], out[:, 2] = s * cp, s * sp, c
-    jac = np.zeros((n, 2, n, 3))
-    j = np.arange(n)
-    jac[j, 0, j] = np.stack([c * cp, c * sp, -s], axis=1)
-    jac[j, 1, j] = np.stack([-s * sp, s * cp, np.zeros(n)], axis=1)
-    return out, jac.reshape(2 * n, n, 3)
+    out = np.column_stack([s * cp, s * sp, c])
+
+    def pull_back(g):  # d/dtheta and d/dphi of each state, interleaved
+        d_theta = c * (cp * g[:, 0] + sp * g[:, 1]) - s * g[:, 2]
+        return np.column_stack([d_theta, s * (cp * g[:, 1] - sp * g[:, 0])]).ravel()
+
+    return out, pull_back
 
 
 def _bloch_kernel(bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -458,11 +453,11 @@ def _bloch_kernel(bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]) -> 
 
 
 def _povm_pauli_from_params(x: np.ndarray, n_out: int):
-    """Pauli form (e0, e) of ``povm_elements_from_params(x, 2, n_out)``, and its Jacobian.
+    """Pauli form (e0, e) of ``povm_elements_from_params(x, 2, n_out)``, and its pull-back.
 
     The gauge-fixed QR of the two-column matrix g is Gram-Schmidt on its
-    columns, and the Jacobian, of shape (4 n_out, n_out, 4) over the columns
-    (e0, e), is its forward-mode derivative along each real parameter.
+    columns a and b, and the pull-back of a gradient with rows (e0, e) runs
+    it in reverse, with complex cotangents z_bar = dL/dRe z + i dL/dIm z.
     Where a column vanishes or the columns are (nearly) parallel, the basis
     is QR's own, so the elements come from the matrix route; so they do for
     column norms far from 1, where the squares below would leave the
@@ -482,50 +477,58 @@ def _povm_pauli_from_params(x: np.ndarray, n_out: int):
             p0, p1 = (ac * a).real / aa, (u.conj() * u).real / uu
             root = np.sqrt(aa * uu)
             off = ac * u / root  # element (0, 1) of each E_b
-            w = np.empty((n_out, 3))
-            w[:, 0], w[:, 1], w[:, 2] = off.real, -off.imag, 0.5 * (p0 - p1)
-            # tangents (rows) along the real parts, then the imaginary parts, of g
-            dg = np.concatenate([np.eye(m), 1j * np.eye(m)])
-            da, db = dg[:, 0::2], dg[:, 1::2]
-            daa = 2.0 * (da @ ac).real
-            du = db - ((da.conj() @ b + db @ ac) / aa - (ab / aa**2) * daa)[:, None] * a - (ab / aa) * da
-            duu = 2.0 * (du @ u.conj()).real
-            dp0 = (2.0 * (ac * da).real - daa[:, None] * p0) / aa
-            dp1 = (2.0 * (u.conj() * du).real - duu[:, None] * p1) / uu
-            doff = (da.conj() * u + ac * du) / root - off * (0.5 * (daa / aa + duu / uu))[:, None]
-            jac = np.empty((2 * m, n_out, 4))
-            jac[..., 0], jac[..., 3] = 0.5 * (dp0 + dp1), 0.5 * (dp0 - dp1)
-            jac[..., 1], jac[..., 2] = doff.real, -doff.imag
-            return (0.5 * (p0 + p1), w), jac
-    return _pauli_form(povm_elements_from_params(x, 2, n_out)), np.zeros((2 * m, n_out, 4))
+            w = np.column_stack([off.real, -off.imag, 0.5 * (p0 - p1)])
+
+            def pull_back(grad):
+                p0_bar, p1_bar = 0.5 * (grad[:, 0] + grad[:, 3]), 0.5 * (grad[:, 0] - grad[:, 3])
+                off_bar = grad[:, 1] - 1j * grad[:, 2]
+                # back through off = conj(a) u / sqrt(aa uu), p0 = |a|^2 / aa, p1 = |u|^2 / uu,
+                # uu = <u, u>, u = b - (ab / aa) a, ab = <a, b> and aa = <a, a>
+                shrink = -0.5 * np.vdot(off_bar, off).real
+                u_bar = a * off_bar / root + (2.0 / uu) * (p1_bar + shrink - p1_bar @ p1) * u
+                ab_bar = -np.vdot(a, u_bar) / aa
+                aa_bar = (shrink - p0_bar @ p0 - (np.conj(ab_bar) * ab).real) / aa
+                g_bar = np.empty(m, dtype=complex)
+                g_bar[0::2] = u * off_bar.conj() / root - np.conj(ab / aa) * u_bar + np.conj(ab_bar) * b
+                g_bar[0::2] += 2.0 * (p0_bar / aa + aa_bar) * a
+                g_bar[1::2] = u_bar + ab_bar * a
+                return np.concatenate([g_bar.real, g_bar.imag])
+
+            return (0.5 * (p0 + p1), w), pull_back
+    return _pauli_form(povm_elements_from_params(x, 2, n_out)), lambda grad: np.zeros(len(x))
 
 
 def _density_bloch_from_params(x: np.ndarray):
-    """Eigenvalues and Bloch vector of ``density_from_params(x, 2)``, and their Jacobian.
+    """Eigenvalues and Bloch vector of ``density_from_params(x, 2)``, and their pull-back.
 
     rho = lam_1 I + (lam_0 - lam_1) q q^dag with q the first column of the
-    gauge-fixed QR of g, i.e. g's first column normalised.  The Jacobian has
-    shape (10, 5), over (lam_0, lam_1, n).  A vanishing g or first column
+    gauge-fixed QR of g, i.e. g's first column normalised.  The pull-back
+    takes a gradient in (lam_0, lam_1, n).  A vanishing g or first column
     leaves q to QR, so rho then comes from the matrix route.
     """
     logits = x[:2]
     z = np.exp(logits - logits.max())
     lam = z / z.sum()
-    jac = np.zeros((10, 5))
     if np.sqrt(x[2:] @ x[2:]) < 1e-9:  # density_from_params takes g = I
-        return (lam, np.array([0.0, 0.0, lam[0] - lam[1]])), jac
-    p, q, r, s = x[2], x[6], x[4], x[8]  # g[:, 0] = (p + iq, r + is)
+        return (lam, np.array([0.0, 0.0, lam[0] - lam[1]])), lambda grad: np.zeros(10)
+    pqrs = x[[2, 6, 4, 8]]  # g[:, 0] = (p + iq, r + is)
+    p, q, r, s = pqrs
     norm2 = p * p + q * q + r * r + s * s
     if 1e-300 < norm2 < 1e300:
         v = np.array([2.0 * (p * r + q * s), 2.0 * (p * s - q * r), p * p + q * q - r * r - s * s])
         scale = (lam[0] - lam[1]) / norm2
-        dlam = lam[0] * lam[1] * np.array([1.0, -1.0])  # d lam_0 / d logits = -d lam_1 / d logits
-        jac[:2, 0], jac[:2, 1] = dlam, -dlam
-        jac[:2, 2:] = np.outer(2.0 * dlam, v / norm2)
-        dv = 2.0 * np.array([[r, s, p], [s, -r, q], [p, -q, -r], [q, p, -s]])  # dv / d(p, q, r, s)
-        jac[[2, 6, 4, 8], 2:] = scale * (dv - np.outer([p, q, r, s], 2.0 * v / norm2))
-        return (lam, scale * v), jac
-    return (lam, 2.0 * _pauli_form(density_from_params(x, 2))[1]), jac
+
+        def pull_back(grad):
+            along = 2.0 * (grad[2:] @ v) / norm2
+            dv = 2.0 * np.array([[r, s, p], [s, -r, q], [p, -q, -r], [q, p, -s]])  # dv / d(p, q, r, s)
+            out = np.zeros(10)
+            # d lam_0 / d logits = -d lam_1 / d logits = lam_0 lam_1 (1, -1)
+            out[:2] = lam[0] * lam[1] * (grad[0] - grad[1] + along) * np.array([1.0, -1.0])
+            out[[2, 6, 4, 8]] = scale * (dv @ grad[2:] - along * pqrs)
+            return out
+
+        return (lam, scale * v), pull_back
+    return (lam, 2.0 * _pauli_form(density_from_params(x, 2))[1]), lambda grad: np.zeros(10)
 
 
 def _measured_input_bloch(rho: tuple[np.ndarray, np.ndarray], effects: tuple[np.ndarray, np.ndarray]):
@@ -590,9 +593,9 @@ def _qubit_chi_objective(ch: QuantumChannel):
     t_mat, shift = _affine_bloch_map(ch)
 
     def chi(weights, xs):
-        bloch, jac = _bloch_of_angles(xs)
+        bloch, pull_back = _bloch_of_angles(xs)
         value, g_out = _qubit_chi(weights, bloch @ t_mat.T + shift)
-        return value, _pull_back(jac, g_out @ t_mat)
+        return value, pull_back(g_out @ t_mat)
 
     return chi
 
@@ -615,49 +618,52 @@ def _mi_signal_objective(weights: np.ndarray, effects, din: int, n_states: int):
     """
     if din == 2:
         def objective(xs):
-            bloch, jac = _bloch_of_angles(xs)
+            bloch, pull_back = _bloch_of_angles(xs)
             value, g_bloch, _ = _mi_bloch(weights, bloch, effects)
-            return value, _pull_back(jac, g_bloch)
+            return value, pull_back(g_bloch)
 
         return objective, True
     return (lambda xs: _mi_fixed_weights(weights, _kernel(pure_states_from_params(xs, din, n_states), effects))), False
 
 
-def _signal_route(din: int, n_states: int):
-    """(signals, kernel) for the value-only objectives.
-
-    ``signals`` maps signal parameters to states and ``kernel`` takes those
-    states and the input-side effects to p(b|j).  On a qubit input the states
-    are Bloch vectors and the effects Pauli forms.
-    """
-    if din == 2:
-        return (lambda xs: _bloch_of_angles(xs)[0]), _bloch_kernel
-    return (lambda xs: pure_states_from_params(xs, din, n_states)), _kernel
-
-
 def _pulled_back_effects(ch: QuantumChannel, n_out: int):
-    """POVM parameters -> (the POVM pulled back to the channel input, its Jacobian).
+    """POVM parameters -> (the POVM pulled back to the channel input, its pull-back).
 
     The effects are in Pauli form on a qubit input, and matrices otherwise.
     A qubit channel pulls back the Pauli form w0 I + w . sigma as
-    (w0 + w . t) I + (T^T w) . sigma and carries the Jacobian of
-    ``_povm_pauli_from_params`` along; other channels give no Jacobian (None).
+    (w0 + w . t) I + (T^T w) . sigma, so its pull-back maps a gradient
+    (e0_bar, e_bar) to (e0_bar, e0_bar t + e_bar T^T) in (w0, w), then
+    through ``_povm_pauli_from_params``; other channels give none (None).
     """
     din, dout = ch.dim_in, ch.dim_out
     if (din, dout) == (2, 2):
         t_mat, shift = _affine_bloch_map(ch)
 
         def pulled(xm):
-            (w0, w), jac = _povm_pauli_from_params(xm, n_out)
-            jac_pulled = np.empty_like(jac)
-            jac_pulled[..., 0] = jac[..., 0] + jac[..., 1:] @ shift
-            jac_pulled[..., 1:] = jac[..., 1:] @ t_mat
-            return (w0 + w @ shift, w @ t_mat), jac_pulled
+            (w0, w), pull_back = _povm_pauli_from_params(xm, n_out)
+
+            def pull_back_pulled(grad):
+                return pull_back(np.column_stack([grad[:, 0], grad[:, :1] * shift + grad[:, 1:] @ t_mat.T]))
+
+            return (w0 + w @ shift, w @ t_mat), pull_back_pulled
     else:
         def pulled(xm):
             duals = _dual_effect_stack(ch, povm_elements_from_params(xm, dout, n_out))
             return (_pauli_form(duals) if din == 2 else duals), None
     return pulled
+
+
+def _joint_objective(first, second, information, split: int):
+    """(value, gradient) of ``information`` at the parameters of ``first`` (up to ``split``) then ``second``.
+
+    ``first`` and ``second`` return (form, pull-back); ``information`` returns (value, gradient in each form).
+    """
+    def objective(v):
+        (a, a_back), (b, b_back) = first(v[:split]), second(v[split:])
+        value, g_a, g_b = information(a, b)
+        return value, np.concatenate([a_back(g_a), b_back(g_b)])
+
+    return objective
 
 
 # Settings of every L-BFGS-B block solve; the block's evaluation budget caps
@@ -696,9 +702,10 @@ def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, m
     of block i alone, built with the other blocks held, and whether it
     returns (value, gradient) (see ``_maximize``).  A sweep maximises each
     block's objective in turn, then takes ``sweep_value(*blocks)``; the
-    search stops once a sweep gains less than ``cfg.tol``.  Returns the
-    blocks, the best sweep value and whether that test (rather than
-    ``cfg.max_iters``) ended the search.
+    search stops once a sweep gains less than ``cfg.tol``.  With one block
+    of all parameters (as on 2->2 channels) a sweep is one joint solve.
+    Returns the blocks, the best sweep value and whether that test (rather
+    than ``cfg.max_iters``) ended the search.
     """
     blocks = list(blocks)
     current = sweep_value(*blocks)
@@ -824,66 +831,68 @@ def _block_weights(weights: np.ndarray) -> np.ndarray:
 def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible mutual information over ensembles and product POVMs.
 
-    Alternates (i) signal-state local search with exactly solved weights on
-    the induced classical kernel against (ii) POVM local search over the
-    rank-1 isometry parametrisation, keeping the best of ``cfg.restarts``
-    deterministic seeds.  The value is a lower bound on the true supremum.
+    Alternates exactly solved weights on the induced classical kernel with
+    local search over the signal states and the rank-1 isometry
+    parametrisation of the POVM, keeping the best of ``cfg.restarts``
+    deterministic seeds.  On a 2->2 channel the signals and the POVM form one
+    block, solved jointly by L-BFGS-B; elsewhere they are two blocks.  The
+    value is a lower bound on the true supremum.
     """
     din, dout = ch.dim_in, ch.dim_out
     n_states = max(cfg.ensemble_size_cap, 2)
     n_out = max(cfg.povm_size_cap, dout)
 
     ns = n_state_params(din, n_states)
-    signals, kernel = _signal_route(din, n_states)
     pulled = _pulled_back_effects(ch, n_out)
     qubit = (din, dout) == (2, 2)
 
     def run(restart, rng):
         warm = {"w": None}
 
-        def ba_value(xs_, xm_):
-            effects = _dual_effect_stack(ch, povm_elements_from_params(xm_, dout, n_out))
-            kern = _kernel(pure_states_from_params(xs_, din, n_states), effects)
+        def ba_value(*blocks):  # of the signal then POVM parameters, in one block or two
+            cat_ = np.concatenate(blocks)
+            effects = _dual_effect_stack(ch, povm_elements_from_params(cat_[ns:], dout, n_out))
+            kern = _kernel(pure_states_from_params(cat_[:ns], din, n_states), effects)
             c, w = blahut_arimoto(kern, tol=1e-9, max_iters=250, init_weights=warm["w"])
             warm["w"] = w
             return c
 
         if restart == 0 and qubit:
             # start from the coarse grid scan's best two-point configuration
-            xs, xm, _ = _witness_inits(ch, n_states, n_out)
+            cat = np.concatenate(_witness_inits(ch, n_states, n_out)[:2])
         elif restart < _n_canonical_inits(din):
-            xs = _state_inits(din, n_states, restart)
-            xm = _povm_inits(dout, n_out, rng, restart)
+            cat = np.concatenate([_state_inits(din, n_states, restart), _povm_inits(dout, n_out, rng, restart)])
         else:
             cat = _best_of_draws(
-                lambda v: ba_value(v[:ns], v[ns:]),
+                ba_value,
                 lambda r: np.concatenate(
                     [r.normal(scale=1.5, size=ns), r.normal(size=n_povm_params(dout, n_out))]
                 ),
                 rng,
             )
-            xs, xm = cat[:ns], cat[ns:]
 
-        # weights from the sweep-start kernel stay fixed inside both blocks
+        # weights from the sweep-start kernel stay fixed inside the blocks
+        def joint_block(_):  # 2->2: signals and POVM in one block
+            w = _block_weights(warm["w"])
+            return _joint_objective(_bloch_of_angles, pulled, lambda b, e: _mi_bloch(w, b, e), ns), True
+
         def signal_block(_, xm_):
             return _mi_signal_objective(_block_weights(warm["w"]), pulled(xm_)[0], din, n_states)
 
         def povm_block(xs_, _):
-            w, states = _block_weights(warm["w"]), signals(xs_)
-            if not qubit:
-                return (lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)[0]))), False
+            w = _block_weights(warm["w"])
+            if din == 2:  # Bloch vectors against Pauli forms
+                states, kernel = _bloch_of_angles(xs_)[0], _bloch_kernel
+            else:
+                states, kernel = pure_states_from_params(xs_, din, n_states), _kernel
+            return (lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)[0]))), False
 
-            def objective(v):
-                effects, jac = pulled(v)
-                value, _, g_effects = _mi_bloch(w, states, effects)
-                return value, _pull_back(jac, g_effects)
+        parts, objectives = ([cat], [joint_block]) if qubit else ([cat[:ns], cat[ns:]], [signal_block, povm_block])
+        parts, _, converged = _block_ascent(parts, ba_value, objectives, cfg)
+        cat = np.concatenate(parts)
 
-            return objective, True
-
-        (xs, xm), _, converged = _block_ascent([xs, xm], ba_value, [signal_block, povm_block], cfg)
-
-        states = pure_states_from_params(xs, din, n_states)
-        elements = povm_elements_from_params(xm, dout, n_out)
+        states = pure_states_from_params(cat[:ns], din, n_states)
+        elements = povm_elements_from_params(cat[ns:], dout, n_out)
         _, weights = blahut_arimoto(_kernel(states, _dual_effect_stack(ch, elements)), tol=1e-10, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
         povm = Povm(tuple(elements))
@@ -1058,7 +1067,7 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     qubit = (din, dout) == (2, 2)
 
     # the objective is information(input_of(xr), effects_of(xm)); on a qubit
-    # input, parametrisations come with their Jacobians and information with
+    # input, parametrisations come with their pull-backs and information with
     # its gradients in both arguments
     effects_of = _pulled_back_effects(ch, n_out)
     if din == 2:
@@ -1070,8 +1079,12 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
         def information(rho, duals):
             return _measured_input_fast(rho, duals), None, None
 
-    def value_of(xr_, xm_):
-        return information(input_of(xr_)[0], effects_of(xm_)[0])[0]
+    def value_of(*blocks):  # of the input then POVM parameters, in one block or two
+        cat = np.concatenate(blocks)
+        return information(input_of(cat[:nr])[0], effects_of(cat[nr:])[0])[0]
+
+    def joint_block(_):  # 2->2: input and POVM in one block
+        return _joint_objective(input_of, effects_of, information, nr), True
 
     def input_block(_, xm_):
         effects = effects_of(xm_)[0]
@@ -1079,68 +1092,54 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
             return (lambda v: information(input_of(v)[0], effects)[0]), False
 
         def objective(v):
-            rho, jac = input_of(v)
+            rho, pull_back = input_of(v)
             value, g_rho, _ = information(rho, effects)
-            return value, _pull_back(jac, g_rho)
+            return value, pull_back(g_rho)
 
         return objective, True
 
     def povm_block(xr_, _):
         rho = input_of(xr_)[0]
-        if not qubit:
-            return (lambda v: information(rho, effects_of(v)[0])[0]), False
-
-        def objective(v):
-            effects, jac = effects_of(v)
-            value, _, g_effects = information(rho, effects)
-            return value, _pull_back(jac, g_effects)
-
-        return objective, True
-
-    def joint(v):
-        (rho, jac_rho), (effects, jac_effects) = input_of(v[:nr]), effects_of(v[nr:])
-        value, g_rho, g_effects = information(rho, effects)
-        return value, np.concatenate([_pull_back(jac_rho, g_rho), _pull_back(jac_effects, g_effects)])
+        return (lambda v: information(rho, effects_of(v)[0])[0]), False
 
     def run(restart, rng):
         if restart == 0 and qubit:
             # the coarse grid scan's witness: the weighted two-point average
             # input with its best projective readout
             _, xm, xr = _witness_inits(ch, 2, n_out)
+            cat = np.concatenate([xr, xm])
         elif restart == 0 or (restart == 1 and qubit):
             # maximally mixed input; readout along the channel ellipsoid's
             # dominant output axis when available, the basis otherwise.  On a
             # qubit input g = I, since g = 0 is a fallback point without slope.
             xr = np.concatenate([np.zeros(2), np.eye(2).ravel(), np.zeros(4)]) if din == 2 else np.zeros(nr)
-            xm = _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)
+            cat = np.concatenate([xr, _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)])
         else:
             cat = _best_of_draws(
-                lambda v: value_of(v[:nr], v[nr:]),
+                value_of,
                 lambda r: np.concatenate(
                     [r.normal(scale=0.8, size=nr), r.normal(size=n_povm_params(dout, n_out))]
                 ),
                 rng,
                 n_draws=32,
             )
-            xr, xm = cat[:nr], cat[nr:]
 
-        (xr, xm), value, converged = _block_ascent([xr, xm], value_of, [input_block, povm_block], cfg)
-        return value, (np.concatenate([xr, xm]), converged)
+        parts, objectives = ([cat], [joint_block]) if qubit else ([cat[:nr], cat[nr:]], [input_block, povm_block])
+        parts, value, converged = _block_ascent(parts, value_of, objectives, cfg)
+        return value, (np.concatenate(parts), converged)
 
     best_val, (best_x, best_conv), runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
 
-    # joint polish of the winning restart removes residual block zigzag
-    if qubit:
-        cat = _maximize(joint, best_x, 45 * len(best_x), jac=True)
-    else:
-        cat = _maximize(lambda v: value_of(v[:nr], v[nr:]), best_x, 45 * len(best_x))
-    rho = density_from_params(cat[:nr], din)
-    povm = Povm(tuple(povm_elements_from_params(cat[nr:], dout, n_out)))
-    value = measured_input_information(ch, rho, povm)
-    if value < best_val:  # keep the unpolished point if polish regressed the re-evaluation
-        rho = density_from_params(best_x[:nr], din)
-        povm = Povm(tuple(povm_elements_from_params(best_x[nr:], dout, n_out)))
-        value = measured_input_information(ch, rho, povm)
+    def evaluate(cat):  # the exact value at these parameters
+        rho = density_from_params(cat[:nr], din)
+        povm = Povm(tuple(povm_elements_from_params(cat[nr:], dout, n_out)))
+        return measured_input_information(ch, rho, povm), rho, povm
+
+    # on two blocks, a joint polish of the winning restart removes residual zigzag
+    # between them; the unpolished point stays if the polish regressed the re-evaluation
+    value, rho, povm = evaluate(best_x if qubit else _maximize(value_of, best_x, 45 * len(best_x)))
+    if value < best_val and not qubit:
+        value, rho, povm = evaluate(best_x)
     return CapacityResult(value, None, povm, frozen(rho), runs, best_conv)
 
 

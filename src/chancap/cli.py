@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -82,14 +83,7 @@ def _report(command: str, digest: str, cfg: OptimizerConfig, results: list, seed
     return {
         "command": command,
         "channel_spec_digest": digest,
-        "config": {
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "tol": cfg.tol,
-            "seed": cfg.seed,
-            "ensemble_size_cap": cfg.ensemble_size_cap,
-            "povm_size_cap": cfg.povm_size_cap,
-        },
+        "config": asdict(cfg),  # every OptimizerConfig field, in declaration order
         "results": results,
         "seed": seed,
         "wall_time": round(time.perf_counter() - t0, 3),
@@ -351,6 +345,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chancap",
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("identity-check", help="randomised two-stage information identity check")
-    p.add_argument("--instances", type=int, default=1000)
+    p.add_argument("--instances", type=_positive_int, default=1000)
     p.add_argument("--inject-fault", action="store_true", help="corrupt a POVM to exercise the error path")
     common(p)
     p.set_defaults(func=cmd_identity_check)
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ChannelSpecError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ChannelSpecError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InvariantViolation as exc:

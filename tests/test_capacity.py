@@ -327,8 +327,9 @@ class TestParametrisations:
                 assert np.linalg.eigvalsh(rho).min() > 0
 
     def test_config_validation(self):
-        with pytest.raises(InvariantViolation):
-            OptimizerConfig(tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(InvariantViolation):
+                OptimizerConfig(tol=tol)
         with pytest.raises(InvariantViolation):
             OptimizerConfig(ensemble_size_cap=1)
         with pytest.raises(InvariantViolation):
@@ -622,7 +623,7 @@ def _chi_matrix_route(ch, weights, states):
 
 
 class TestBlochObjectives:
-    """The qubit Nelder-Mead objectives equal the matrix route at the same parameters."""
+    """The qubit objectives equal the matrix route at the same parameters."""
 
     N_STATES, N_OUT = 4, 4
 
@@ -668,36 +669,37 @@ class TestBlochObjectives:
     def test_pauli_povm_matches_qr(self):
         rng = np.random.default_rng(23)
         for x in [rng.normal(size=n_povm_params(2, self.N_OUT)) for _ in range(20)] + self.degenerate_povm_params():
-            (w0, w), jac = cap._povm_pauli_from_params(x, self.N_OUT)
-            assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w)) and np.all(np.isfinite(jac))
+            (w0, w), pull_back = cap._povm_pauli_from_params(x, self.N_OUT)
+            assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w))
+            assert np.all(np.isfinite(pull_back(rng.normal(size=(self.N_OUT, 4)))))
             rebuilt = w0[:, None, None] * np.eye(2) + np.einsum("bk,kij->bij", w, np.stack(cap.PAULI))
             np.testing.assert_allclose(rebuilt, povm_elements_from_params(x, 2, self.N_OUT), atol=1e-12)
 
     def test_density_bloch_matches_qr(self):
         rng = np.random.default_rng(24)
         for x in [rng.normal(size=n_density_params(2)) for _ in range(20)] + self.degenerate_density_params():
-            (lam, n), jac = cap._density_bloch_from_params(x)
-            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(n)) and np.all(np.isfinite(jac))
+            (lam, n), pull_back = cap._density_bloch_from_params(x)
+            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(n))
+            assert np.all(np.isfinite(pull_back(rng.normal(size=5))))
             rebuilt = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", n, np.stack(cap.PAULI)))
             np.testing.assert_allclose(rebuilt, density_from_params(x, 2), atol=1e-12)
 
     def test_shannon_kernel(self):
-        signals, kernel = cap._signal_route(2, self.N_STATES)
         for ch, w, xs, xm, _ in self.cases():
             pulled = cap._pulled_back_effects(ch, self.N_OUT)
-            states = pure_states_from_params(xs, 2, self.N_STATES)
+            states, bloch = pure_states_from_params(xs, 2, self.N_STATES), cap._bloch_of_angles(xs)[0]
             for xm_ in [xm] + self.degenerate_povm_params():
-                effects, jac = pulled(xm_)
-                got = kernel(signals(xs), effects)
+                effects, pull_back = pulled(xm_)
+                got = cap._bloch_kernel(bloch, effects)
                 want = cap._kernel(states, cap._dual_effect_stack(ch, povm_elements_from_params(xm_, 2, self.N_OUT)))
                 assert np.all(np.isfinite(got))
                 np.testing.assert_allclose(got, want, atol=1e-12)
                 mi = cap._mi_fixed_weights(w, want)
                 assert abs(cap._mi_fixed_weights(w, got) - mi) < 1e-12
-                value, g_bloch, g_effects = cap._mi_bloch(w, signals(xs), effects)
+                value, g_bloch, g_effects = cap._mi_bloch(w, bloch, effects)
                 signal_value, g_xs = cap._mi_signal_objective(w, effects, 2, self.N_STATES)[0](xs)
                 assert abs(value - mi) < 1e-12 and abs(signal_value - mi) < 1e-12
-                for g in (g_bloch, g_effects, g_xs, cap._pull_back(jac, g_effects)):
+                for g in (g_bloch, g_effects, g_xs, pull_back(g_effects)):
                     assert np.all(np.isfinite(g))
 
     def test_holevo_chi(self):
@@ -717,14 +719,14 @@ class TestBlochObjectives:
             pulled = cap._pulled_back_effects(ch, self.N_OUT)
             for xm_ in [xm] + self.degenerate_povm_params():
                 povm = Povm(tuple(povm_elements_from_params(xm_, 2, self.N_OUT)))
-                effects, jac_effects = pulled(xm_)
+                effects, effects_back = pulled(xm_)
                 for xr_ in [xr] + self.degenerate_density_params():
-                    rho, jac_rho = cap._density_bloch_from_params(xr_)
+                    rho, rho_back = cap._density_bloch_from_params(xr_)
                     got, g_rho, g_effects = cap._measured_input_bloch(rho, effects)
                     want = measured_input_information(ch, density_from_params(xr_, 2), povm)
                     assert np.isfinite(got)
                     assert abs(got - want) < 1e-12
-                    for g in (g_rho, g_effects, cap._pull_back(jac_rho, g_rho), cap._pull_back(jac_effects, g_effects)):
+                    for g in (g_rho, g_effects, rho_back(g_rho), effects_back(g_effects)):
                         assert np.all(np.isfinite(g))
 
     def test_measured_input_wider_output(self):
@@ -735,8 +737,8 @@ class TestBlochObjectives:
             assert (ch.dim_in, ch.dim_out) == (2, 3)
             xm = rng.normal(size=n_povm_params(3, 4))
             elements = povm_elements_from_params(xm, 3, 4)
-            effects, jac = cap._pulled_back_effects(ch, 4)(xm)
-            assert jac is None  # so the POVM block keeps Nelder-Mead
+            effects, pull_back = cap._pulled_back_effects(ch, 4)(xm)
+            assert pull_back is None  # so the POVM block keeps Nelder-Mead
             for xr in [rng.normal(size=n_density_params(2))] + self.degenerate_density_params():
                 got = cap._measured_input_bloch(cap._density_bloch_from_params(xr)[0], effects)[0]
                 want = measured_input_information(ch, density_from_params(xr, 2), Povm(tuple(elements)))
@@ -746,6 +748,20 @@ class TestBlochObjectives:
         ch = measured_channel(random_channel(2, 2, seed=320), trine_povm())
         res = measured_input_bound(ch, QUICK)
         assert abs(measured_input_information(ch, res.argmax_rho, res.argmax_povm) - res.value) < 1e-12
+
+
+def _block_solves(monkeypatch, estimator, ch, cfg=OptimizerConfig(restarts=1, max_iters=1)):
+    """(objective, start, budget, jac) of every ``_maximize`` call the estimator makes on ``ch``."""
+    solves, maximize = [], cap._maximize
+
+    def recording(fun, x0, maxfev, jac=False):
+        solves.append((fun, np.array(x0), maxfev, jac))
+        return maximize(fun, x0, maxfev, jac)
+
+    monkeypatch.setattr(cap, "_maximize", recording)
+    estimator(ch, cfg)
+    monkeypatch.undo()
+    return solves
 
 
 def _central_difference(f, x, h=1e-6):
@@ -787,11 +803,18 @@ class TestBlochGradients:
             pulled, bloch = cap._pulled_back_effects(ch, self.N_OUT), cap._bloch_of_angles(xs)[0]
 
             def objective(v):
-                effects, jac = pulled(v)
+                effects, pull_back = pulled(v)
                 value, _, g_effects = cap._mi_bloch(w, bloch, effects)
-                return value, cap._pull_back(jac, g_effects)
+                return value, pull_back(g_effects)
 
             self.assert_gradient(objective, xm)
+
+    def test_mi_joint(self, monkeypatch):
+        # the one block shannon_capacity solves on a 2->2 channel: signals, then POVM
+        for ch, _, xs, xm, _ in self.cases():
+            (objective, x0, _, _), *_ = _block_solves(monkeypatch, shannon_capacity, ch)
+            self.assert_gradient(objective, x0)
+            self.assert_gradient(objective, np.concatenate([xs, xm]))
 
     def test_chi(self):
         for ch, w, xs, _, _ in self.cases():
@@ -803,12 +826,7 @@ class TestBlochGradients:
             pulled = cap._pulled_back_effects(ch, self.N_OUT)
             for xr_ in (xr, np.concatenate([[0.0, -800.0], xr[2:]])):  # full rank, then pure
 
-                def joint(v):
-                    rho, jac_rho = cap._density_bloch_from_params(v[:10])
-                    effects, jac_effects = pulled(v[10:])
-                    value, g_rho, g_effects = cap._measured_input_bloch(rho, effects)
-                    return value, np.concatenate([cap._pull_back(jac_rho, g_rho), cap._pull_back(jac_effects, g_effects)])
-
+                joint = cap._joint_objective(cap._density_bloch_from_params, pulled, cap._measured_input_bloch, 10)
                 self.assert_gradient(joint, np.concatenate([xr_, xm]))
 
     def test_entropy_slope(self):
@@ -830,16 +848,28 @@ class TestBlochGradients:
         kept = kernel.ravel() > 0.0
         np.testing.assert_allclose(grad.ravel()[kept], flat[kept], atol=1e-8)
 
-    def test_degenerate_parameters_have_zero_jacobian(self):
+    def test_degenerate_parameters_pull_back_zeros(self):
         # the matrix-route fallbacks report no slope, so L-BFGS-B stops there
-        params = TestBlochObjectives()
+        params, rng = TestBlochObjectives(), np.random.default_rng(30)
+        pulled = cap._pulled_back_effects(random_channel(2, 3, seed=360), self.N_OUT)
         for x in params.degenerate_povm_params():
-            assert not np.any(cap._povm_pauli_from_params(x, self.N_OUT)[1])
+            grad = rng.normal(size=(self.N_OUT, 4))
+            for pull_back in (cap._povm_pauli_from_params(x, self.N_OUT)[1], pulled(x)[1]):
+                np.testing.assert_array_equal(pull_back(grad), np.zeros_like(x))
         for i, x in enumerate(params.degenerate_density_params()):
-            jac = cap._density_bloch_from_params(x)[1]
-            assert np.all(np.isfinite(jac))
+            grad = cap._density_bloch_from_params(x)[1](rng.normal(size=5))
+            assert np.all(np.isfinite(grad))
             if i in (0, 1, 2, 5, 6):  # zero g, zero or tiny first column
-                assert not np.any(jac)
+                np.testing.assert_array_equal(grad, np.zeros_like(x))
+
+    @pytest.mark.parametrize("estimator, n_params", [(shannon_capacity, 8 + 16), (measured_input_bound, 10 + 16)])
+    def test_one_joint_solve_per_sweep(self, monkeypatch, estimator, n_params):
+        # on a 2->2 channel every block solve is one L-BFGS-B call over all the
+        # parameters at the usual budget: no split blocks and no polish
+        solves = _block_solves(monkeypatch, estimator, random_channel(2, 3, seed=361), QUICK)
+        assert solves
+        for _, x0, maxfev, jac in solves:
+            assert jac and len(x0) == n_params and maxfev == 60 * n_params
 
     def test_maximize_keeps_start_on_non_finite_result(self):
         # a value and slope of 1e308 overflow inside L-BFGS-B, which then returns NaN

@@ -77,6 +77,18 @@ class TestCapacityCommand:
         spec.write_text("{broken")
         assert main(["capacity", str(spec)] + FAST) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["capacity", "additivity", "channel-info"])
+    def test_spec_path_is_directory(self, capsys, tmp_path, command):
+        assert main([command, str(tmp_path)] + FAST) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["capacity", "additivity", "channel-info"])
+    def test_spec_not_utf8(self, capsys, tmp_path, command):
+        spec = tmp_path / "latin1.json"
+        spec.write_bytes('{"kind": "identity", "dim": 2, "note": "\u00e9"}'.encode("latin-1"))
+        assert main([command, str(spec)] + FAST) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_non_cptp_spec(self, capsys, tmp_path):
         spec = tmp_path / "noncptp.json"
         spec.write_text(
@@ -95,6 +107,11 @@ class TestIdentityCheckCommand:
     def test_single_instance(self, capsys):
         code, _ = run(capsys, ["identity-check", "--instances", "1"] + FAST)
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("instances", ["0", "-5"])
+    def test_non_positive_instances_rejected(self, capsys, instances):
+        assert main(["identity-check", "--instances", instances] + FAST) == EXIT_USAGE
+        assert "--instances" in capsys.readouterr().err
 
     def test_fault_injection(self, capsys):
         code = main(["identity-check", "--instances", "2", "--inject-fault"] + FAST)
@@ -170,6 +187,12 @@ class TestConfigValidation:
         code = main(["capacity", identity_spec, "--which", which, "--restarts", "0"])
         assert code == EXIT_INVARIANT
         assert "restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol(self, capsys, identity_spec, tol):
+        code = main(["capacity", identity_spec, "--tol", tol])
+        assert code == EXIT_INVARIANT
+        assert "tol" in capsys.readouterr().err
 
     def test_negative_max_iters(self, capsys, identity_spec):
         code = main(["capacity", identity_spec, "--max-iters", "-1"])
