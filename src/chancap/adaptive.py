@@ -29,10 +29,10 @@ from .capacity import (
     _kernel,
     _mi_fixed_weights,
 )
-from .channels import PAULI, Povm, QuantumChannel, dual_povm, projective_povm
+from .channels import PAULI, Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
 from .errors import DimensionMismatchError, InvariantViolation
 from .information import Ensemble, PROB_FLOOR, mutual_information
-from .linalg import ATOL_COMPLETENESS, hermitize, partial_trace, tensor
+from .linalg import ATOL_COMPLETENESS, hermitize, partial_trace, tensor, tensor_pairs
 
 
 @dataclass(frozen=True)
@@ -99,27 +99,21 @@ def flatten(measurement: ConditionalPovm | AdaptiveStrategy) -> Povm:
     re-verified and a violation names the offending first-stage outcome.
     """
     strategy = as_strategy(measurement)
-    elems: list[np.ndarray] = []
-    for b, e in enumerate(strategy.stage(()).elements):
-        branch = _branch_elements(strategy, (b,), e)
-        total = sum(x for _, x in branch)
-        dim_rest = total.shape[0] // e.shape[0]
-        expect = tensor(e, np.eye(dim_rest, dtype=complex))
-        if np.max(np.abs(total - expect)) > ATOL_COMPLETENESS:
-            raise InvariantViolation(
-                f"conditional stages under first outcome {b} do not resolve the identity"
-            )
-        elems.extend(x for _, x in branch)
-    return Povm(tuple(elems))
-
-
-def _branch_elements(strategy: AdaptiveStrategy, path: tuple[int, ...], acc: np.ndarray):
-    if len(path) == strategy.depth:
-        return [(path, acc)]
-    out = []
-    for c, e in enumerate(strategy.stage(path).elements):
-        out.extend(_branch_elements(strategy, path + (c,), tensor(acc, e)))
-    return out
+    paths, flat = [()], np.ones((1, 1, 1), dtype=complex)
+    for _ in range(strategy.depth):  # one tensor product per stage level, left to right along each path
+        stages = [np.asarray(strategy.stage(p).elements) for p in paths]
+        flat = tensor(np.repeat(flat, [len(s) for s in stages], axis=0), np.concatenate(stages))
+        paths = [p + (c,) for p, s in zip(paths, stages) for c in range(len(s))]
+    first = np.asarray(strategy.stage(()).elements)
+    starts = np.searchsorted([p[0] for p in paths], np.arange(len(first)))
+    totals = np.add.reduceat(flat, starts, axis=0)
+    expect = tensor(first, np.eye(flat.shape[-1] // first.shape[-1], dtype=complex))
+    bad = np.abs(totals - expect).max(axis=(1, 2)) > ATOL_COMPLETENESS
+    if bad.any():
+        raise InvariantViolation(
+            f"conditional stages under first outcome {int(np.argmax(bad))} do not resolve the identity"
+        )
+    return Povm(flat)
 
 
 def as_strategy(measurement: ConditionalPovm | AdaptiveStrategy) -> AdaptiveStrategy:
@@ -150,8 +144,7 @@ def dual_conditional(
 
 def first_stage_ensemble(e12: Ensemble, dims: tuple[int, int]) -> Ensemble:
     """Reduced ensemble on the first subsystem."""
-    states = tuple(partial_trace(s, list(dims), keep=[0]) for s in e12.states)
-    return Ensemble(e12.probs, states)
+    return Ensemble(e12.probs, partial_trace(np.asarray(e12.states), list(dims), keep=[0]))
 
 
 def second_stage_ensemble(
@@ -167,27 +160,20 @@ def second_stage_ensemble(
     its negative eigenvalues, and a PSD block only by rounding.  Returns
     ``(None, 0.0)`` when the outcome probability is below the floor.
     """
-    f_b = dual_povm(ch1, m1).elements[b]
-    eye2 = np.eye(dims[1], dtype=complex)
-    effect = tensor(f_b, eye2)
-    p_b_given_j = np.array([np.trace(s @ effect).real for s in e12.states])
-    p_b_given_j = np.clip(p_b_given_j, 0.0, None)
+    effect = tensor(dual_apply(ch1, m1.elements[b]), np.eye(dims[1], dtype=complex))
+    states = np.asarray(e12.states)
+    p_b_given_j = np.clip(np.einsum("jab,ba->j", states, effect).real, 0.0, None)
     p_b = float(e12.probs @ p_b_given_j)
     if p_b <= PROB_FLOOR:
         return None, 0.0
-    posts = []
-    states = []
-    for pj, pbj, s in zip(e12.probs, p_b_given_j, e12.states):
-        weight = pbj * pj / p_b
-        if weight <= PROB_FLOOR:
-            continue
-        block = partial_trace(s @ effect, list(dims), keep=[1])
-        lam, vec = np.linalg.eigh(hermitize(block, atol=1e-10))
-        lam = np.clip(lam, 0.0, None)
-        states.append((vec * (lam / lam.sum())) @ vec.conj().T)
-        posts.append(weight)
-    posts = np.asarray(posts)
-    return Ensemble(posts / posts.sum(), tuple(states)), p_b
+    weights = p_b_given_j * e12.probs / p_b
+    live = weights > PROB_FLOOR
+    blocks = partial_trace(states[live] @ effect, list(dims), keep=[1])
+    lam, vec = np.linalg.eigh(hermitize(blocks, atol=1e-10))
+    lam = np.clip(lam, 0.0, None)
+    conditional = (vec * (lam / lam.sum(axis=-1, keepdims=True))[:, None, :]) @ vec.conj().swapaxes(-1, -2)
+    posts = weights[live]
+    return Ensemble(posts / posts.sum(), conditional), p_b
 
 
 def chain_identity_check(
@@ -206,13 +192,12 @@ def chain_identity_check(
     dual = dual_conditional([ch1, ch2], cp)
     lhs = mutual_information(e12, flatten(dual))
 
-    m1_dual = dual_povm(ch1, cp.first)
-    rhs = mutual_information(first_stage_ensemble(e12, dims), m1_dual)
+    rhs = mutual_information(first_stage_ensemble(e12, dims), dual.stage(()))
     for b in range(len(cp.first.elements)):
         e2, p_b = second_stage_ensemble(e12, ch1, cp.first, b, dims)
         if e2 is None:
             continue
-        rhs += p_b * mutual_information(e2, dual_povm(ch2, cp.second[b]))
+        rhs += p_b * mutual_information(e2, dual.stage((b,)))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -373,13 +358,7 @@ def product_strategy_value(
 ) -> float:
     """Information of the product ensemble and unconditioned product POVM."""
     states = _product_ensemble(r1, r2).states
-    dual = Povm(
-        tuple(
-            tensor(ea, eb)
-            for ea in dual_povm(ch1, r1.argmax_povm).elements
-            for eb in dual_povm(ch2, r2.argmax_povm).elements
-        )
-    )
+    dual = Povm(tensor_pairs(dual_apply(ch1, r1.argmax_povm.elements), dual_apply(ch2, r2.argmax_povm.elements)))
     kern = _kernel(np.stack(states), np.stack(dual.elements))
     _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
     return mutual_information(Ensemble(weights, states), dual)
@@ -418,10 +397,7 @@ def additivity_experiment(
 
 def _product_ensemble(r1: CapacityResult, r2: CapacityResult) -> Ensemble:
     probs = np.outer(r1.argmax_ensemble.probs, r2.argmax_ensemble.probs).ravel()
-    states = tuple(
-        tensor(s1, s2) for s1 in r1.argmax_ensemble.states for s2 in r2.argmax_ensemble.states
-    )
-    return Ensemble(probs, states)
+    return Ensemble(probs, tensor_pairs(r1.argmax_ensemble.states, r2.argmax_ensemble.states))
 
 
 def _projective_like(m: Povm) -> Povm:

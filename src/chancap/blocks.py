@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolation
-from .linalg import ATOL_PSD, entropy, frozen, relative_entropy, shannon_entropy
+from .linalg import ATOL_PSD, _dagger, _raise_first, entropy, frozen_stack, relative_entropy, shannon_entropy
 
 
 @dataclass(frozen=True)
@@ -33,22 +33,20 @@ class BlockDiagonalState:
     def __post_init__(self):
         if len(self.labels) != len(self.blocks):
             raise DimensionMismatchError("label count differs from block count")
-        blocks = []
-        total = 0.0
-        for lab, b in zip(self.labels, self.blocks):
-            if len(lab) != len(self.axes):
-                raise DimensionMismatchError(f"label {lab} does not index axes {self.axes}")
-            b = np.asarray(b, dtype=complex)
-            lam = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-            if lam.size and lam.min() < -ATOL_PSD:
-                raise InvariantViolation(
-                    f"block {lab} not PSD: min eigenvalue {lam.min():.3e}"
-                )
-            total += np.trace(b).real
-            blocks.append(frozen(b))
+        if len(self.blocks) == 0:
+            raise InvariantViolation("blocks have total trace 0.0, expected 1")
+        blocks = frozen_stack(self.blocks, "block")
+        low = np.linalg.eigvalsh(0.5 * (blocks + _dagger(blocks)))[:, 0]
+        _raise_first(
+            (np.array([len(lab) != len(self.axes) for lab in self.labels]), lambda i: DimensionMismatchError(
+                f"label {self.labels[i]} does not index axes {self.axes}")),
+            (low < -ATOL_PSD, lambda i: InvariantViolation(
+                f"block {self.labels[i]} not PSD: min eigenvalue {low[i]:.3e}")),
+        )
+        total = np.trace(blocks, axis1=1, axis2=2).real.sum()
         if abs(total - 1.0) > 1e-9:
             raise InvariantViolation(f"blocks have total trace {total!r}, expected 1")
-        object.__setattr__(self, "labels", tuple(tuple(int(i) for i in lab) for lab in self.labels))
+        object.__setattr__(self, "labels", tuple(tuple(map(int, lab)) for lab in self.labels))
         object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
@@ -57,11 +55,13 @@ class BlockDiagonalState:
 
     def trace_table(self) -> np.ndarray:
         """Traces of the blocks arranged as an array over the classical axes."""
-        shape = tuple(max(lab[k] for lab in self.labels) + 1 for k in range(len(self.axes)))
-        table = np.zeros(shape if shape else (1,))
-        for lab, b in zip(self.labels, self.blocks):
-            table[lab if lab else (0,)] += np.trace(b).real
-        return table
+        traces = np.trace(np.asarray(self.blocks), axis1=1, axis2=2).real
+        if not self.axes:
+            return np.array([traces.sum()])
+        index = np.array(self.labels).T
+        shape = tuple(index.max(axis=1) + 1)
+        flat = np.ravel_multi_index(tuple(index), shape)
+        return np.bincount(flat, weights=traces, minlength=int(np.prod(shape))).reshape(shape)
 
     def block(self, label: tuple[int, ...]) -> np.ndarray:
         for lab, b in zip(self.labels, self.blocks):
@@ -72,7 +72,7 @@ class BlockDiagonalState:
 
 def block_entropy(state: BlockDiagonalState) -> float:
     """Entropy of the direct sum, in bits: sum of per-block -Tr[B log2 B]."""
-    return float(sum(entropy(b) for b in state.blocks))
+    return float(np.sum(entropy(np.asarray(state.blocks))))
 
 
 def entropy_decomposition(state: BlockDiagonalState) -> tuple[float, float]:
@@ -81,25 +81,24 @@ def entropy_decomposition(state: BlockDiagonalState) -> tuple[float, float]:
     Returns (shannon entropy of the block traces, trace-weighted sum of the
     entropies of the normalised blocks); their sum equals block_entropy.
     """
-    traces = np.array([np.trace(b).real for b in state.blocks])
-    label_term = shannon_entropy(traces)
-    cond = 0.0
-    for t, b in zip(traces, state.blocks):
-        if t > 1e-12:
-            cond += t * entropy(b / t)
-    return label_term, cond
+    blocks = np.asarray(state.blocks)
+    traces = np.trace(blocks, axis1=1, axis2=2).real
+    live = traces > 1e-12
+    cond = np.sum(traces[live] * entropy(blocks[live] / traces[live, None, None]))
+    return shannon_entropy(traces), float(cond)
 
 
 def block_relative_entropy(p: BlockDiagonalState, q: BlockDiagonalState) -> float:
-    """Relative entropy between two states with identical block structure."""
+    """Relative entropy between two states with identical block structure.
+
+    Blocks of P with trace at most 1e-12 contribute nothing and are not
+    checked: both sides of such a pair are replaced by zero blocks.
+    """
     if p.labels != q.labels:
         raise DimensionMismatchError("block label structures differ")
-    total = 0.0
-    for bp, bq in zip(p.blocks, q.blocks):
-        if np.trace(bp).real <= 1e-12:
-            continue
-        total += relative_entropy(bp, bq)
-    return total
+    bp, bq = np.asarray(p.blocks), np.asarray(q.blocks)
+    live = (np.trace(bp, axis1=1, axis2=2).real > 1e-12)[:, None, None]
+    return float(np.sum(relative_entropy(np.where(live, bp, 0.0), np.where(live, bq, 0.0))))
 
 
 def scaled_block_state(
@@ -115,9 +114,8 @@ def scaled_block_state(
     comparisons.
     """
     weights = np.asarray(weights, dtype=float)
-    labels = list(np.ndindex(*weights.shape))
-    blocks = [weights[lab] * np.asarray(matrix, dtype=complex) for lab in labels]
-    return BlockDiagonalState(axes, quantum_axis, tuple(labels), tuple(blocks))
+    blocks = weights.reshape(-1, 1, 1) * np.asarray(matrix, dtype=complex)
+    return BlockDiagonalState(axes, quantum_axis, tuple(np.ndindex(*weights.shape)), blocks)
 
 
 def reduction(state: BlockDiagonalState, which: str):
@@ -147,20 +145,13 @@ def reduction(state: BlockDiagonalState, which: str):
         order = [sorted(positions).index(p) for p in positions]
         return out.transpose(order) if out.ndim > 1 else out
 
+    blocks = np.asarray(state.blocks)
     if not keep_axes:
-        total = np.zeros((state.block_dim, state.block_dim), dtype=complex)
-        for b in state.blocks:
-            total += b
-        return total
+        return blocks.sum(axis=0)
 
-    merged: dict[tuple[int, ...], np.ndarray] = {}
-    for lab, b in zip(state.labels, state.blocks):
-        key = tuple(lab[p] for p in positions)
-        if key in merged:
-            merged[key] = merged[key] + b
-        else:
-            merged[key] = b.astype(complex)
-    labels = tuple(sorted(merged))
-    return BlockDiagonalState(
-        tuple(keep_axes), state.quantum_axis, labels, tuple(merged[k] for k in labels)
-    )
+    keys = [tuple(lab[p] for p in positions) for lab in state.labels]
+    labels = sorted(set(keys))
+    slot = {key: i for i, key in enumerate(labels)}
+    merged = np.zeros((len(labels),) + blocks.shape[1:], dtype=complex)
+    np.add.at(merged, [slot[key] for key in keys], blocks)
+    return BlockDiagonalState(tuple(keep_axes), state.quantum_axis, tuple(labels), merged)

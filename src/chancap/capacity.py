@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import PAULI, Povm, QuantumChannel, measured_channel
 from .errors import DimensionMismatchError, InvariantViolation
@@ -38,7 +37,7 @@ from .information import (
     measured_input_information,
     mutual_information,
 )
-from .linalg import EIG_CLIP, frozen
+from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_slope, frozen
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,8 @@ class OptimizerConfig:
             raise InvariantViolation(f"max_iters must be nonnegative, got {self.max_iters}")
         if not 0 < self.tol < np.inf:
             raise InvariantViolation(f"tol must be positive and finite, got {self.tol}")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
         if self.ensemble_size_cap < 2 or self.povm_size_cap < 2:
             raise InvariantViolation("size caps must be at least 2")
 
@@ -395,18 +396,6 @@ def _mi_fixed_weights(weights: np.ndarray, kernel: np.ndarray) -> float:
     return _mi_and_grad(weights, kernel)[0]
 
 
-def _eig_entropy(lam: np.ndarray) -> np.ndarray:
-    """Entropies (bits) of eigenvalue lists along the last axis; entries at or below EIG_CLIP count 0."""
-    kept = np.where(lam > EIG_CLIP, lam, 1.0)  # 1 log 1 = 0
-    return -(kept * np.log2(kept)).sum(axis=-1)
-
-
-def _eig_entropy_slope(lam: np.ndarray) -> np.ndarray:
-    """log2(lam) + 1/ln 2, so that dS/dlam = -slope; 0 for the entries ``_eig_entropy`` drops."""
-    kept = np.where(lam > EIG_CLIP, lam, 1.0)
-    return np.where(lam > EIG_CLIP, np.log2(kept) + 1.0 / np.log(2.0), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Qubit objectives in Bloch coordinates
 # ---------------------------------------------------------------------------
@@ -669,6 +658,15 @@ def _joint_objective(first, second, information, split: int):
 # Settings of every L-BFGS-B block solve; the block's evaluation budget caps
 # it as it caps Nelder-Mead.
 _LBFGSB_OPTIONS = {"ftol": 1e-12, "gtol": 1e-9}
+
+
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize``, imported on first use: scipy.optimize
+    takes about 50 MB of resident memory, which a process that only
+    evaluates information functionals never needs."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 def _maximize(fun, x0: np.ndarray, maxfev: int, jac: bool = False) -> np.ndarray:

@@ -18,11 +18,13 @@ from .linalg import (
     ATOL_HERMITIAN,
     ATOL_PSD,
     EIG_CLIP,
-    frozen,
+    _dagger,
+    _raise_first,
+    frozen_stack,
     hermitize,
     matrix_pinv_sqrt,
     support_projector,
-    tensor,
+    tensor_pairs,
 )
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,31 +35,32 @@ PAULI = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator valued measurement: PSD elements summing to identity."""
+    """Positive operator valued measurement: PSD elements summing to identity.
+
+    ``elements`` may be given as a sequence of matrices or as one (n, d, d)
+    stack; it is stored as a tuple of read-only views of one frozen stack.
+    """
 
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.elements:
+        if len(self.elements) == 0:
             raise InvariantViolation("POVM needs at least one element")
-        elems = tuple(frozen(np.asarray(e, dtype=complex)) for e in self.elements)
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, e in enumerate(elems):
-            if e.shape != (d, d):
-                raise DimensionMismatchError(f"POVM element {i} has shape {e.shape}, expected {(d, d)}")
-            if np.max(np.abs(e - e.conj().T)) > ATOL_HERMITIAN:
-                raise InvariantViolation(f"POVM element {i} is not Hermitian")
-            lam = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
-            if lam.min() < -ATOL_PSD:
-                raise InvariantViolation(f"POVM element {i} not PSD: min eigenvalue {lam.min():.3e}")
-            if lam.max() > 1.0 + ATOL_PSD:
-                raise InvariantViolation(f"POVM element {i} exceeds identity: max eigenvalue {lam.max():.6f}")
-            total += e
-        dev = np.max(np.abs(total - np.eye(d)))
+        d = np.shape(self.elements[0])[0]
+        elems = frozen_stack(self.elements, "POVM element", (d, d))
+        skew = np.abs(elems - _dagger(elems)).max(axis=(1, 2))
+        lam = np.linalg.eigvalsh(0.5 * (elems + _dagger(elems)))
+        _raise_first(
+            (skew > ATOL_HERMITIAN, lambda i: InvariantViolation(f"POVM element {i} is not Hermitian")),
+            (lam[:, 0] < -ATOL_PSD, lambda i: InvariantViolation(
+                f"POVM element {i} not PSD: min eigenvalue {lam[i, 0]:.3e}")),
+            (lam[:, -1] > 1.0 + ATOL_PSD, lambda i: InvariantViolation(
+                f"POVM element {i} exceeds identity: max eigenvalue {lam[i, -1]:.6f}")),
+        )
+        dev = np.max(np.abs(elems.sum(axis=0) - np.eye(d)))
         if dev > ATOL_COMPLETENESS:
             raise InvariantViolation(f"POVM completeness violated: max |sum E - I| = {dev:.3e}")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(elems))
 
     @property
     def dim(self) -> int:
@@ -69,26 +72,22 @@ class Povm:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """CPTP map held as a Kraus family; immutable after construction."""
+    """CPTP map held as a Kraus family; immutable after construction.
+
+    ``kraus`` is stored as a tuple of read-only views of one frozen stack.
+    """
 
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise InvariantViolation("channel needs at least one Kraus operator")
-        ops = tuple(frozen(np.asarray(k, dtype=complex)) for k in self.kraus)
-        rows, cols = ops[0].shape
-        comp = np.zeros((cols, cols), dtype=complex)
-        for i, k in enumerate(ops):
-            if k.shape != (rows, cols):
-                raise DimensionMismatchError(
-                    f"Kraus operator {i} has shape {k.shape}, expected {(rows, cols)}"
-                )
-            comp += k.conj().T @ k
-        dev = np.max(np.abs(comp - np.eye(cols)))
+        ops = frozen_stack(self.kraus, "Kraus operator")
+        cols = ops.shape[2]
+        dev = np.max(np.abs((_dagger(ops) @ ops).sum(axis=0) - np.eye(cols)))
         if dev > ATOL_COMPLETENESS:
             raise InvariantViolation(f"trace preservation violated: max |sum K†K - I| = {dev:.3e}")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(ops))
 
     @property
     def dim_in(self) -> int:
@@ -103,45 +102,45 @@ class QuantumChannel:
 
 
 def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Action of the channel on a state (or any operator on the input space)."""
+    """Action of the channel on a state (or any operator on the input space).
+
+    An (n, d, d) stack of operators maps to the stack of their images.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim_in, ch.dim_in):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (ch.dim_in, ch.dim_in):
         raise DimensionMismatchError(
             f"state of shape {rho.shape} incompatible with channel input dimension {ch.dim_in}"
         )
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    kr = np.asarray(ch.kraus)
+    return (kr @ rho[..., None, :, :] @ _dagger(kr)).sum(axis=-3)
 
 
 def dual_apply(ch: QuantumChannel, e: np.ndarray) -> np.ndarray:
     """Adjoint action with respect to the Hilbert-Schmidt inner product.
 
     Satisfies Tr[apply(ch, rho) E] = Tr[rho dual_apply(ch, E)]; maps the
-    identity to the identity because the channel is trace preserving.
+    identity to the identity because the channel is trace preserving.  An
+    (n, d, d) stack of operators maps to the stack of their images.
     """
     e = np.asarray(e, dtype=complex)
-    if e.shape != (ch.dim_out, ch.dim_out):
+    if e.ndim not in (2, 3) or e.shape[-2:] != (ch.dim_out, ch.dim_out):
         raise DimensionMismatchError(
             f"operator of shape {e.shape} incompatible with channel output dimension {ch.dim_out}"
         )
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
-    for k in ch.kraus:
-        out += k.conj().T @ e @ k
-    return out
+    kr = np.asarray(ch.kraus)
+    return (_dagger(kr) @ e[..., None, :, :] @ kr).sum(axis=-3)
 
 
 def dual_povm(ch: QuantumChannel, m: Povm) -> Povm:
     """Pull a POVM on the output space back to one on the input space."""
     if m.dim != ch.dim_out:
         raise DimensionMismatchError(f"POVM dimension {m.dim} != channel output dimension {ch.dim_out}")
-    return Povm(tuple(dual_apply(ch, e) for e in m.elements))
+    return Povm(dual_apply(ch, m.elements))
 
 
 def product_channel(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     """Tensor product channel with Kraus family {A_i (x) B_j}."""
-    return QuantumChannel(tuple(tensor(ka, kb) for ka in a.kraus for kb in b.kraus))
+    return QuantumChannel(tensor_pairs(a.kraus, b.kraus))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +160,9 @@ def unitary_channel(u: np.ndarray) -> QuantumChannel:
 
 def completely_noisy_channel(dim: int = 2) -> QuantumChannel:
     """Replaces every input state by the maximally mixed state I/d."""
-    ops = []
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = 1.0 / np.sqrt(dim)
-            ops.append(k)
-    return QuantumChannel(tuple(ops))
+    ops = np.zeros((dim, dim, dim, dim), dtype=complex)
+    ops[np.arange(dim)[:, None], np.arange(dim), np.arange(dim)[:, None], np.arange(dim)] = 1.0 / np.sqrt(dim)
+    return QuantumChannel(ops.reshape(dim * dim, dim, dim))  # K_ij = |i><j| / sqrt(d)
 
 
 def depolarizing_channel(p: float) -> QuantumChannel:
@@ -229,28 +224,24 @@ def omega_channel(states: list[np.ndarray], povm: Povm) -> QuantumChannel:
         raise DimensionMismatchError(
             f"{len(states)} output states vs {len(povm.elements)} POVM elements"
         )
-    ops = []
-    for r, x in zip(states, povm.elements):
-        r = hermitize(np.asarray(r, dtype=complex))
-        lr, vr = np.linalg.eigh(r)
-        if lr.min() < -ATOL_PSD:
-            raise InvariantViolation(f"output state not PSD: min eigenvalue {lr.min():.3e}")
-        if abs(np.trace(r).real - 1.0) > 1e-9:
-            raise InvariantViolation(f"output state trace {np.trace(r).real!r} differs from 1")
-        lx, vx = np.linalg.eigh(hermitize(np.asarray(x, dtype=complex)))
-        for a in np.nonzero(lr > EIG_CLIP)[0]:
-            for c in np.nonzero(lx > EIG_CLIP)[0]:
-                ops.append(np.sqrt(lr[a] * lx[c]) * np.outer(vr[:, a], vx[:, c].conj()))
-    return QuantumChannel(tuple(ops))
+    states = hermitize(frozen_stack(states, "output state"))
+    lr, vr = np.linalg.eigh(states)
+    tr = np.trace(states, axis1=1, axis2=2).real
+    _raise_first(
+        (lr[:, 0] < -ATOL_PSD, lambda k: InvariantViolation(f"output state {k} not PSD: min eigenvalue {lr[k, 0]:.3e}")),
+        (np.abs(tr - 1.0) > 1e-9, lambda k: InvariantViolation(f"output state {k} trace {tr[k]!r} differs from 1")),
+    )
+    lx, vx = np.linalg.eigh(hermitize(np.asarray(povm.elements)))
+    # sqrt(lr_ka lx_kc) |r_ka><x_kc| over eigenpairs above EIG_CLIP, in (k, a, c) order
+    keep = (lr > EIG_CLIP)[:, :, None] & (lx > EIG_CLIP)[:, None, :]
+    amp = np.sqrt(np.where(keep, lr[:, :, None] * lx[:, None, :], 0.0))
+    outer = vr.swapaxes(1, 2)[:, :, None, :, None] * vx.conj().swapaxes(1, 2)[:, None, :, None, :]
+    return QuantumChannel((amp[..., None, None] * outer)[keep])
 
 
 def measurement_channel(m: Povm) -> QuantumChannel:
     """Measure with the POVM and record the outcome in a basis state."""
-    n = len(m.elements)
-    basis = [np.zeros((n, n), dtype=complex) for _ in range(n)]
-    for b in range(n):
-        basis[b][b, b] = 1.0
-    return omega_channel(basis, m)
+    return omega_channel(basis_povm(len(m.elements)).elements, m)
 
 
 def measured_channel(ch: QuantumChannel, m: Povm) -> QuantumChannel:
@@ -268,12 +259,7 @@ def measured_channel(ch: QuantumChannel, m: Povm) -> QuantumChannel:
 
 def basis_povm(dim: int = 2) -> Povm:
     """Projective measurement in the computational basis."""
-    elems = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        elems.append(e)
-    return Povm(tuple(elems))
+    return Povm(np.eye(dim, dtype=complex)[:, :, None] * np.eye(dim)[:, None, :])
 
 
 def projective_povm(direction: np.ndarray) -> Povm:
@@ -288,12 +274,8 @@ def trine_povm(phases: np.ndarray | None = None) -> Povm:
     """Three-outcome qubit POVM from coplanar Bloch directions at 120 degrees."""
     if phases is None:
         phases = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-    elems = []
-    for t in phases:
-        n = np.array([np.cos(t), 0.0, np.sin(t)])
-        p = 0.5 * (np.eye(2, dtype=complex) + n[0] * _SIGMA_X + n[1] * _SIGMA_Y + n[2] * _SIGMA_Z)
-        elems.append(2.0 * p / 3.0)
-    return Povm(tuple(elems))
+    p = [0.5 * (np.eye(2, dtype=complex) + np.cos(t) * _SIGMA_X + np.sin(t) * _SIGMA_Z) for t in phases]
+    return Povm(2.0 * np.array(p) / 3.0)
 
 
 def pretty_good_measurement(probs: np.ndarray, states: list[np.ndarray]) -> Povm:
@@ -303,14 +285,14 @@ def pretty_good_measurement(probs: np.ndarray, states: list[np.ndarray]) -> Povm
     folded into the first element to keep the family complete; ensemble states
     are supported inside supp(rho), so outcome statistics are unaffected.
     """
-    probs = np.asarray(probs, dtype=float)
-    avg = sum(p * np.asarray(s, dtype=complex) for p, s in zip(probs, states))
+    probs, states = np.asarray(probs, dtype=float)[:, None, None], np.asarray(states, dtype=complex)
+    avg = (probs * states).sum(axis=0)
     isq = matrix_pinv_sqrt(avg)
-    elems = [p * (isq @ np.asarray(s, dtype=complex) @ isq) for p, s in zip(probs, states)]
+    elems = probs * (isq @ states @ isq)
     deficit = np.eye(avg.shape[0], dtype=complex) - support_projector(avg)
     if np.max(np.abs(deficit)) > EIG_CLIP:
-        elems[0] = elems[0] + deficit
-    return Povm(tuple(hermitize(e, atol=1e-8) for e in elems))
+        elems[0] += deficit
+    return Povm(hermitize(elems, atol=1e-8))
 
 
 # ---------------------------------------------------------------------------

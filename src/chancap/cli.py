@@ -51,7 +51,7 @@ from .information import (
     conditional_mutual_information,
 )
 from .rand import random_ensemble, random_povm
-from .channels import random_channel
+from .channels import apply, dual_apply, random_channel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -311,10 +311,8 @@ def cmd_channel_info(args) -> int:
     t0 = time.perf_counter()
     data = Path(args.channel).read_bytes()
     ch = load_channel(data.decode("utf-8"))
-    comp = sum(k.conj().T @ k for k in ch.kraus)
-    unital_dev = float(
-        np.max(np.abs(sum(k @ k.conj().T for k in ch.kraus) - np.eye(ch.dim_out)))
-    )
+    comp = dual_apply(ch, np.eye(ch.dim_out))  # sum K†K
+    unital_dev = float(np.max(np.abs(apply(ch, np.eye(ch.dim_in)) - np.eye(ch.dim_out))))  # sum KK† - I
     cfg = _config_from_args(args)
     results = [
         _result("dim_in", ch.dim_in),

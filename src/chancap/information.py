@@ -3,7 +3,10 @@
 Every quantity comes in two independently coded routes: a direct form built
 from outcome statistics, and a block-diagonal form built from formal joint
 states.  The agreement of the two routes is part of the test contract, so
-they deliberately share no intermediate code.
+they deliberately share no intermediate code beyond ``linalg`` primitives.
+Both work on whole stacks of states and effects at once: each ``linalg``
+call they make (entropy, matrix square root, relative entropy) takes an
+(n, d, d) stack in one batched eigensolve.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .linalg import (
     clean_probability_vector,
     entropy,
     frozen,
+    frozen_stack,
     matrix_sqrt,
     partial_trace,
     relative_entropy,
@@ -43,12 +47,9 @@ class Ensemble:
             raise DimensionMismatchError(
                 f"{len(probs)} weights vs {len(self.states)} states"
             )
-        states = tuple(frozen(assert_density_matrix(np.asarray(s, dtype=complex))) for s in self.states)
-        d = states[0].shape[0]
-        if any(s.shape != (d, d) for s in states):
-            raise DimensionMismatchError("ensemble states have mixed dimensions")
+        states = assert_density_matrix(frozen_stack(self.states, "ensemble state"))
         object.__setattr__(self, "probs", frozen(probs))
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", tuple(states))
 
     @property
     def dim(self) -> int:
@@ -58,10 +59,7 @@ class Ensemble:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        avg = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, s in zip(self.probs, self.states):
-            avg += p * s
-        return assert_density_matrix(avg)
+        return assert_density_matrix((self.probs[:, None, None] * np.asarray(self.states)).sum(axis=0))
 
 
 def pure_state(vec: np.ndarray) -> np.ndarray:
@@ -74,7 +72,7 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
 
 
 def output_ensemble(ch: QuantumChannel, e: Ensemble) -> Ensemble:
-    return Ensemble(e.probs, tuple(apply(ch, s) for s in e.states))
+    return Ensemble(e.probs, apply(ch, e.states))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +80,8 @@ def output_ensemble(ch: QuantumChannel, e: Ensemble) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 def outcome_distribution(rho: np.ndarray, m: Povm) -> np.ndarray:
-    p = np.array([np.trace(rho @ e).real for e in m.elements])
+    """Outcome probabilities Tr[rho E_b]; a stack of states gives one row per state."""
+    p = np.einsum("...ab,mba->...m", rho, np.asarray(m.elements)).real
     return np.clip(p, 0.0, None)
 
 
@@ -94,11 +93,9 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
     """
     if e.dim != m.dim:
         raise DimensionMismatchError(f"ensemble dimension {e.dim} != POVM dimension {m.dim}")
-    per_state = np.array([outcome_distribution(s, m) for s in e.states])
-    marginal = e.probs @ per_state
-    val = shannon_entropy(marginal) - float(
-        sum(p * shannon_entropy(row) for p, row in zip(e.probs, per_state) if p > PROB_FLOOR)
-    )
+    per_state = outcome_distribution(np.asarray(e.states), m)
+    live = e.probs > PROB_FLOOR
+    val = shannon_entropy(e.probs @ per_state) - float(np.sum(e.probs[live] * shannon_entropy(per_state[live])))
     return max(val, 0.0)
 
 
@@ -115,10 +112,7 @@ def classical_joint(ch: QuantumChannel, e: Ensemble, m: Povm) -> np.ndarray:
     """Joint label-outcome table p(j, b) = pi_j Tr[channel(rho_j) E_b]."""
     if e.dim != ch.dim_in or m.dim != ch.dim_out:
         raise DimensionMismatchError("channel, ensemble and POVM dimensions are inconsistent")
-    table = np.empty((len(e), len(m.elements)))
-    for j, (p, s) in enumerate(zip(e.probs, e.states)):
-        table[j] = p * outcome_distribution(apply(ch, s), m)
-    return table
+    return e.probs[:, None] * outcome_distribution(apply(ch, e.states), m)
 
 
 def classical_mutual_information(table: np.ndarray) -> float:
@@ -162,19 +156,13 @@ def joint_block_state(
     if e.dim != ch.dim_in or m.dim != ch.dim_out:
         raise DimensionMismatchError("channel, ensemble and POVM dimensions are inconsistent")
     if dual_side:
-        effects = [dual_apply(ch, eb) for eb in m.elements]
-        carriers = e.states
+        effects, carriers = dual_apply(ch, m.elements), np.asarray(e.states)
     else:
-        effects = list(m.elements)
-        carriers = [apply(ch, s) for s in e.states]
-    labels = []
-    blocks = []
-    for j, (p, s) in enumerate(zip(e.probs, carriers)):
-        root = matrix_sqrt(s)
-        for b, eff in enumerate(effects):
-            labels.append((j, b))
-            blocks.append(p * (root @ eff @ root))
-    return BlockDiagonalState(("A", "B"), "Q", tuple(labels), tuple(blocks))
+        effects, carriers = np.asarray(m.elements), apply(ch, e.states)
+    roots = matrix_sqrt(carriers)[:, None]
+    blocks = e.probs[:, None, None, None] * (roots @ effects @ roots)
+    labels = tuple(np.ndindex(blocks.shape[:2]))
+    return BlockDiagonalState(("A", "B"), "Q", labels, blocks.reshape((-1,) + blocks.shape[2:]))
 
 
 def input_outcome_block_state(ch: QuantumChannel, rho: np.ndarray, m: Povm) -> BlockDiagonalState:
@@ -183,9 +171,8 @@ def input_outcome_block_state(ch: QuantumChannel, rho: np.ndarray, m: Povm) -> B
     if rho.shape[0] != ch.dim_in or m.dim != ch.dim_out:
         raise DimensionMismatchError("channel, state and POVM dimensions are inconsistent")
     root = matrix_sqrt(rho)
-    blocks = tuple(root @ dual_apply(ch, eb) @ root for eb in m.elements)
     labels = tuple((b,) for b in range(len(m.elements)))
-    return BlockDiagonalState(("B",), "R", labels, blocks)
+    return BlockDiagonalState(("B",), "R", labels, root @ dual_apply(ch, m.elements) @ root)
 
 
 def mutual_information_via_blocks(ch: QuantumChannel, e: Ensemble, m: Povm) -> float:
@@ -206,14 +193,11 @@ def holevo_information(ch: QuantumChannel, e: Ensemble) -> float:
     """Holevo quantity chi = S(out(avg)) - sum pi_j S(out_j), in bits."""
     if e.dim != ch.dim_in:
         raise DimensionMismatchError(f"ensemble dimension {e.dim} != channel input {ch.dim_in}")
-    outs = [apply(ch, s) for s in e.states]
-    avg = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for p, o in zip(e.probs, outs):
-        avg += p * o
-    val = entropy(avg) - float(
-        sum(p * entropy(o) for p, o in zip(e.probs, outs) if p > PROB_FLOOR)
-    )
-    return max(val, 0.0)
+    outs = apply(ch, e.states)
+    live = e.probs > PROB_FLOOR
+    avg = (e.probs[:, None, None] * outs).sum(axis=0)
+    ent = entropy(np.concatenate([avg[None], outs[live]]))  # S(avg), then S(out_j) of the live j
+    return max(ent[0] - float(np.sum(e.probs[live] * ent[1:])), 0.0)
 
 
 def holevo_information_via_blocks(ch: QuantumChannel, e: Ensemble) -> float:
@@ -251,16 +235,10 @@ def measured_input_information(ch: QuantumChannel, rho: np.ndarray, m: Povm) -> 
     if rho.shape[0] != ch.dim_in or m.dim != ch.dim_out:
         raise DimensionMismatchError("channel, state and POVM dimensions are inconsistent")
     root = matrix_sqrt(rho)
-    tau = []
-    middle = 0.0
-    for eb in m.elements:
-        block = root @ dual_apply(ch, eb) @ root
-        t = np.trace(block).real
-        tau.append(max(t, 0.0))
-        if t > PROB_FLOOR:
-            middle += entropy(block)
-    val = entropy(rho) - middle + shannon_entropy(np.array(tau))
-    return max(val, 0.0)
+    blocks = root @ dual_apply(ch, m.elements) @ root
+    tau = np.trace(blocks, axis1=1, axis2=2).real
+    ent = entropy(np.concatenate([rho[None], blocks[tau > PROB_FLOOR]]))  # S(rho), then the live blocks
+    return max(float(ent[0] - np.sum(ent[1:]) + shannon_entropy(np.clip(tau, 0.0, None))), 0.0)
 
 
 def measured_input_information_via_blocks(ch: QuantumChannel, rho: np.ndarray, m: Povm) -> float:

@@ -24,38 +24,70 @@ EIG_CLIP = 1e-12  # eigenvalues below this are treated as exact zeros
 
 
 def _as_matrix(m) -> np.ndarray:
+    """``m`` as a complex matrix or (n, d, d) stack of matrices."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim not in (2, 3):
         raise DimensionMismatchError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise InvariantViolation("matrix contains non-finite entries")
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        raise InvariantViolation(f"matrix{_at(a, int(np.argmin(finite)))} contains non-finite entries")
     return a
+
+
+def _at(a: np.ndarray, i: int) -> str:
+    """`` i`` when ``a`` is a stack (naming its matrix i in a message), else ''."""
+    return f" {i}" if a.ndim == 3 else ""
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the first matrix of a stack that fails any check, with the first check it fails.
+
+    Each check is ``(mask, error)``: a boolean mask over the stack (a scalar
+    for one matrix) and a callable building the exception for index i.  This
+    is the order of a loop that validates matrix by matrix, check by check.
+    """
+    if any(mask.any() for mask, _ in checks):
+        masks = [np.atleast_1d(mask) for mask, _ in checks]
+        i = int(np.argmax(np.logical_or.reduce(masks)))
+        raise next(error(i) for mask, (_, error) in zip(masks, checks) if mask[i])
 
 
 def hermitize(m: np.ndarray, atol: float = ATOL_HERMITIAN) -> np.ndarray:
     """Return the Hermitian part (m + m†)/2, rejecting inputs that are not
-    Hermitian to within ``atol``."""
+    Hermitian to within ``atol``.  Accepts a stack of matrices."""
     m = _as_matrix(m)
-    skew = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if skew > atol:
-        raise InvariantViolation(f"matrix is not Hermitian: max |M - M†| = {skew:.3e} > {atol:.1e}")
-    return 0.5 * (m + m.conj().T)
+    skew = np.abs(m - _dagger(m)).max(axis=(-2, -1), initial=0.0)
+    _raise_first((skew > atol, lambda i: InvariantViolation(
+        f"matrix{_at(m, i)} is not Hermitian: max |M - M†| = {np.atleast_1d(skew)[i]:.3e} > {atol:.1e}"
+    )))
+    return 0.5 * (m + _dagger(m))
 
 
 def assert_density_matrix(rho: np.ndarray, atol: float = ATOL_PSD) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD, unit trace) and return it."""
+    """Validate a density matrix (Hermitian, PSD, unit trace) and return it.
+
+    Accepts an (n, d, d) stack; a violation then names the first offending
+    matrix.
+    """
     rho = _as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
+    if rho.shape[-1] != rho.shape[-2]:
         raise InvariantViolation(f"density matrix must be square, got shape {rho.shape}")
-    skew = np.max(np.abs(rho - rho.conj().T))
-    if skew > ATOL_HERMITIAN:
-        raise InvariantViolation(f"density matrix not Hermitian: deviation {skew:.3e}")
-    lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if lam.min(initial=0.0) < -atol:
-        raise InvariantViolation(f"density matrix not PSD: min eigenvalue {lam.min():.3e}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > ATOL_TRACE:
-        raise InvariantViolation(f"density matrix trace {tr!r} differs from 1 by {abs(tr - 1):.3e}")
+    skew = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
+    lam = np.linalg.eigvalsh(0.5 * (rho + _dagger(rho)))
+    low, tr = lam[..., 0], np.trace(rho, axis1=-2, axis2=-1).real
+    _raise_first(
+        (skew > ATOL_HERMITIAN, lambda i: InvariantViolation(
+            f"density matrix{_at(rho, i)} not Hermitian: deviation {np.atleast_1d(skew)[i]:.3e}")),
+        (low < -atol, lambda i: InvariantViolation(
+            f"density matrix{_at(rho, i)} not PSD: min eigenvalue {np.atleast_1d(low)[i]:.3e}")),
+        (np.abs(tr - 1.0) > ATOL_TRACE, lambda i: InvariantViolation(
+            f"density matrix{_at(rho, i)} trace {np.atleast_1d(tr)[i]!r} differs from 1 by "
+            f"{abs(np.atleast_1d(tr)[i] - 1):.3e}")),
+    )
     return rho
 
 
@@ -79,18 +111,50 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def frozen_stack(mats, what: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Read-only complex (n, ...) copy of a non-empty sequence of equal-shape matrices.
+
+    ``shape`` defaults to the first matrix's; a mismatch raises
+    DimensionMismatchError naming the first offending ``what``.
+    """
+    shape = tuple(shape or np.shape(mats[0]))
+    try:
+        stack = np.array(mats, dtype=complex)
+    except ValueError:  # ragged
+        stack = np.empty(0)
+    if stack.shape[1:] != shape or len(shape) != 2:
+        i = next((i for i, m in enumerate(mats) if np.shape(m) != shape), 0)
+        raise DimensionMismatchError(
+            f"{what} {i} has shape {np.shape(mats[i])}, expected {shape if len(shape) == 2 else 'a matrix'}"
+        )
+    stack.setflags(write=False)
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # Tensor products and partial traces
 # ---------------------------------------------------------------------------
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, in standard ordering."""
+    """Kronecker product of one or more matrices, in standard ordering.
+
+    Factors may be (n, a, b) stacks, multiplied matrix by matrix; a single
+    matrix pairs with every matrix of a stack.
+    """
     if not factors:
         raise DimensionMismatchError("tensor() needs at least one factor")
     out = _as_matrix(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, _as_matrix(f))
+        f = _as_matrix(f)
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (out.shape[-2] * f.shape[-2], out.shape[-1] * f.shape[-1]))
     return out
+
+
+def tensor_pairs(a, b) -> np.ndarray:
+    """Stack of a_i (x) b_k over all pairs (i, k) of two stacks, i major."""
+    a, b = np.asarray(a), np.asarray(b)
+    return tensor(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1)))
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -98,56 +162,67 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
 
     ``dims`` lists the factor dimensions; their product must equal the matrix
     dimension.  ``partial_trace(m, dims, [])`` returns the scalar trace as a
-    1x1 matrix.
+    1x1 matrix.  A stack of matrices is reduced matrix by matrix.
     """
     m = _as_matrix(m)
+    lead = m.shape[:-2]
     dims = [int(d) for d in dims]
     n = len(dims)
     total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.shape[-2:] != (total, total):
         raise DimensionMismatchError(
             f"matrix shape {m.shape} does not match factor dimensions {dims}"
         )
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatchError(f"keep indices {keep} out of range for {n} factors")
-    t = m.reshape(dims + dims)
+    t = m.reshape(lead + tuple(dims + dims))
     traced = [k for k in range(n) if k not in keep]
     for offset, k in enumerate(traced):
-        ax = k - offset  # earlier traces shrink the row-index block
+        ax = len(lead) + k - offset  # earlier traces shrink the row-index block
         t = np.trace(t, axis1=ax, axis2=ax + (n - offset))
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 # ---------------------------------------------------------------------------
 # Entropies
 # ---------------------------------------------------------------------------
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float).ravel()
-    sub_unit = p.size == 0 or p.max() <= 1.0 + ATOL_PROB_NEG
-    p = p[p > EIG_CLIP]
-    if p.size == 0:
-        return 0.0
-    val = float(-(p * np.log2(p)).sum())
+def _eig_entropy(lam: np.ndarray) -> np.ndarray:
+    """Entropies (bits) of eigenvalue lists along the last axis; entries at or below EIG_CLIP count 0."""
+    kept = np.where(lam > EIG_CLIP, lam, 1.0)  # 1 log 1 = 0
+    return -(kept * np.log2(kept)).sum(axis=-1)
+
+
+def _eig_entropy_slope(lam: np.ndarray) -> np.ndarray:
+    """log2(lam) + 1/ln 2, so that dS/dlam = -slope; 0 for the entries ``_eig_entropy`` drops."""
+    kept = np.where(lam > EIG_CLIP, lam, 1.0)
+    return np.where(lam > EIG_CLIP, np.log2(kept) + 1.0 / np.log(2.0), 0.0)
+
+
+def shannon_entropy(p):
+    """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0.
+
+    A 2-D array gives the entropy of each row; any other shape is flattened.
+    """
+    p = np.asarray(p, dtype=float)
+    p = p if p.ndim == 2 else p.ravel()
+    val = _eig_entropy(p)
     # entries <= 1 make every term nonnegative; clip float residue at 0
-    return max(val, 0.0) if sub_unit else val
+    val = np.where(p.max(axis=-1, initial=0.0) <= 1.0 + ATOL_PROB_NEG, np.maximum(val, 0.0), val) + 0.0  # no -0.0
+    return float(val) if p.ndim == 1 else val
 
 
-def entropy(m: np.ndarray) -> float:
+def entropy(m: np.ndarray):
     """Entropy -Tr[M log2 M] of a PSD matrix, in bits.
 
     Accepts any PSD matrix (unit trace not required), so it applies to the
     unnormalised blocks of block-diagonal constructions.  Eigenvalues in
-    [-1e-10, 1e-12] are treated as zero.
+    [-1e-10, 1e-12] are treated as zero.  An (n, d, d) stack gives the n
+    entropies as an array.
     """
-    m = _as_matrix(m)
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if lam.size and lam.min() < -ATOL_PSD:
-        raise InvariantViolation(f"entropy of non-PSD matrix: min eigenvalue {lam.min():.3e}")
-    return shannon_entropy(lam)
+    return shannon_entropy(_psd_eig(m, "entropy argument", vectors=False)[1])
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -155,77 +230,77 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return entropy(assert_density_matrix(rho))
 
 
-def relative_entropy(p: np.ndarray, q: np.ndarray, atol_support: float = 1e-9) -> float:
+def relative_entropy(p: np.ndarray, q: np.ndarray, atol_support: float = 1e-9):
     """Relative entropy Tr[P log2 P - P log2 Q] in bits for PSD P, Q.
 
     Requires supp(P) within supp(Q): every eigenvector of P with eigenvalue
     above 1e-10 must lie in the span of Q's eigenvectors with eigenvalue
     above 1e-12.  A violation raises SupportError naming the offending
     eigenvector.  For unit-trace inputs the value is nonnegative (Klein).
+    Two (n, d, d) stacks give the n pairwise values as an array; an error
+    then names the first offending pair.
     """
-    p = _as_matrix(p)
-    q = _as_matrix(q)
+    p, lp, vp = _psd_eig(p, "first argument")
+    q, lq, vq = _psd_eig(q, "second argument")
     if p.shape != q.shape:
         raise DimensionMismatchError(f"shape mismatch {p.shape} vs {q.shape}")
-    lp, vp = np.linalg.eigh(0.5 * (p + p.conj().T))
-    lq, vq = np.linalg.eigh(0.5 * (q + q.conj().T))
-    if lp.size and lp.min() < -ATOL_PSD:
-        raise InvariantViolation(f"first argument not PSD: min eigenvalue {lp.min():.3e}")
-    if lq.size and lq.min() < -ATOL_PSD:
-        raise InvariantViolation(f"second argument not PSD: min eigenvalue {lq.min():.3e}")
-
-    null_q = vq[:, lq <= EIG_CLIP]
-    if null_q.shape[1]:
-        for i in np.nonzero(lp > 1e-10)[0]:
-            overlap = float(np.linalg.norm(null_q.conj().T @ vp[:, i]) ** 2)
-            if overlap > atol_support:
-                raise SupportError(
-                    f"support violation: eigenvector {i} of P (eigenvalue {lp[i]:.3e}) "
-                    f"has weight {overlap:.3e} outside supp(Q)",
-                    eigenvector_index=int(i),
-                    overlap=overlap,
-                )
-
-    lp_pos = np.clip(lp, 0.0, None)
-    term_p = float(np.sum(lp_pos[lp_pos > EIG_CLIP] * np.log2(lp_pos[lp_pos > EIG_CLIP])))
+    null_q = lq <= EIG_CLIP
+    # weight of each eigenvector of P (last axis) outside supp(Q)
+    overlap = np.atleast_2d(np.sum(np.abs(_dagger(vq) @ vp) ** 2 * null_q[..., None], axis=-2))
+    outside = np.atleast_2d(lp > 1e-10) & (overlap > atol_support)
+    if outside.any():
+        k, i = np.unravel_index(np.argmax(outside), outside.shape)  # first pair, then its first eigenvector
+        raise SupportError(
+            f"support violation: eigenvector {i} of P{_at(p, k)} (eigenvalue {np.atleast_2d(lp)[k, i]:.3e}) "
+            f"has weight {overlap[k, i]:.3e} outside supp(Q)",
+            eigenvector_index=int(i),
+            overlap=float(overlap[k, i]),
+        )
     # Tr[P log Q] restricted to supp(Q); the support check bounds the remainder
-    mask_q = lq > EIG_CLIP
-    weights = np.einsum("ij,jk,ki->i", vq[:, mask_q].conj().T, p, vq[:, mask_q]).real
-    term_q = float(np.sum(weights * np.log2(lq[mask_q])))
-    val = term_p - term_q
-    if val < 0.0 and abs(np.trace(p).real - 1.0) <= ATOL_TRACE and abs(np.trace(q).real - 1.0) <= ATOL_TRACE:
-        # Klein inequality guarantees nonnegativity for unit-trace pairs
-        val = max(val, 0.0) if val > -1e-9 else val
-    return val
+    weights = np.einsum("...ai,...ab,...bi->...i", vq.conj(), p, vq).real
+    term_q = np.sum(np.where(null_q, 0.0, weights * np.log2(np.where(null_q, 1.0, lq))), axis=-1)
+    val = -_eig_entropy(lp) - term_q
+    unit = (np.abs(np.trace(p, axis1=-2, axis2=-1).real - 1.0) <= ATOL_TRACE) & (
+        np.abs(np.trace(q, axis1=-2, axis2=-1).real - 1.0) <= ATOL_TRACE
+    )
+    # Klein inequality guarantees nonnegativity for unit-trace pairs
+    val = np.where(unit & (val < 0.0) & (val > -1e-9), 0.0, val)
+    return float(val) if p.ndim == 2 else val
 
 
 # ---------------------------------------------------------------------------
 # Matrix functions on the PSD cone
 # ---------------------------------------------------------------------------
 
-def _psd_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eig(m: np.ndarray, what: str = "matrix", vectors: bool = True):
+    """(m, eigenvalues clipped at 0, eigenvectors or None) of the Hermitian part
+    of a PSD matrix or stack; an eigenvalue below -ATOL_PSD raises, naming the
+    first offending matrix."""
     m = _as_matrix(m)
-    lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if lam.size and lam.min() < -ATOL_PSD:
-        raise InvariantViolation(f"matrix not PSD: min eigenvalue {lam.min():.3e}")
-    return np.clip(lam, 0.0, None), vec
+    h = 0.5 * (m + _dagger(m))
+    lam, vec = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    low = np.atleast_1d(lam[..., 0])
+    _raise_first((low < -ATOL_PSD, lambda i: InvariantViolation(
+        f"{what}{_at(m, i)} not PSD: min eigenvalue {low[i]:.3e}"
+    )))
+    return m, np.maximum(lam, 0.0), vec
 
 
 def matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix."""
-    lam, vec = _psd_eig(m)
-    return (vec * np.sqrt(lam)) @ vec.conj().T
+    """Principal square root of a PSD matrix (or of each matrix of a stack)."""
+    _, lam, vec = _psd_eig(m)
+    return (vec * np.sqrt(lam)[..., None, :]) @ _dagger(vec)
 
 
 def matrix_pinv_sqrt(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root: eigenvalues above 1e-12 map to 1/sqrt, rest to 0."""
-    lam, vec = _psd_eig(m)
+    _, lam, vec = _psd_eig(m)
     inv = np.where(lam > EIG_CLIP, 1.0 / np.sqrt(np.where(lam > EIG_CLIP, lam, 1.0)), 0.0)
-    return (vec * inv) @ vec.conj().T
+    return (vec * inv[..., None, :]) @ _dagger(vec)
 
 
 def support_projector(m: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix."""
-    lam, vec = _psd_eig(m)
+    _, lam, vec = _psd_eig(m)
     keep = lam > EIG_CLIP
-    return (vec[:, keep]) @ vec[:, keep].conj().T
+    return (vec * keep[..., None, :]) @ _dagger(vec)

@@ -336,6 +336,8 @@ class TestParametrisations:
             OptimizerConfig(restarts=0)
         with pytest.raises(InvariantViolation):
             OptimizerConfig(max_iters=-1)
+        with pytest.raises(InvariantViolation):
+            OptimizerConfig(seed=-1)
         assert OptimizerConfig(restarts=1, max_iters=0).max_iters == 0
 
 

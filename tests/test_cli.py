@@ -199,6 +199,17 @@ class TestConfigValidation:
         assert code == EXIT_INVARIANT
         assert "max_iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["shannon", "holevo", "uep"])
+    def test_negative_seed(self, capsys, identity_spec, which):
+        code = main(["capacity", identity_spec, "--which", which, "--seed", "-1"])
+        assert code == EXIT_INVARIANT
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_seed_identity_check(self, capsys):
+        code = main(["identity-check", "--instances", "1", "--seed", "-1"])
+        assert code == EXIT_INVARIANT
+        assert "seed" in capsys.readouterr().err
+
 
 class TestChannelInfoCommand:
     def test_reports_shape(self, capsys, identity_spec):
