@@ -134,7 +134,7 @@ def reduction(state: BlockDiagonalState, which: str):
             f"state has axes {state.axes} and quantum axis {state.quantum_axis!r}"
         )
     keep_q = state.quantum_axis in wanted
-    keep_axes = [a for a in state.axes if a in wanted]
+    keep_axes = [a for a in dict.fromkeys(wanted) if a in state.axes]  # in the requested order
     positions = [state.axes.index(a) for a in keep_axes]
 
     if not keep_q:

@@ -14,12 +14,12 @@ Bloch vectors, effects are Pauli forms E = e0 I + e . sigma, and every
 objective is a few operations on real 3-vectors.  These evaluate the same
 numbers as the matrix route from the same parameters, together with their
 closed-form gradients (pulled back to the parameters in reverse mode), so
-each such block is solved by L-BFGS-B; on a 2->2 channel the Shannon and
-measured-input searches solve all their parameters in one block.  Every
-other dimension keeps the matrix route and Nelder-Mead, and the final exact
-re-evaluation always takes the matrix route.  L-BFGS-B stops at once when
-started exactly at a stationary point, such as equatorial signals under a
-z-basis readout; the other restarts cover that case.
+L-BFGS-B takes those gradients as given.  Blocks without such a gradient
+keep the matrix route, where L-BFGS-B takes its gradients by finite
+differences, and the final exact re-evaluation always takes the matrix route.  The Shannon and
+measured-input searches solve all their parameters in one block per sweep.
+L-BFGS-B stops at once when started exactly at a stationary point, such as
+equatorial signals under a z-basis readout; the other restarts cover that case.
 """
 
 from __future__ import annotations
@@ -618,14 +618,13 @@ def _mi_signal_objective(weights: np.ndarray, effects, din: int, n_states: int):
 def _pulled_back_effects(ch: QuantumChannel, n_out: int):
     """POVM parameters -> (the POVM pulled back to the channel input, its pull-back).
 
-    The effects are in Pauli form on a qubit input, and matrices otherwise.
+    The effects are in Pauli form on a 2->2 channel, and matrices otherwise.
     A qubit channel pulls back the Pauli form w0 I + w . sigma as
     (w0 + w . t) I + (T^T w) . sigma, so its pull-back maps a gradient
     (e0_bar, e_bar) to (e0_bar, e0_bar t + e_bar T^T) in (w0, w), then
     through ``_povm_pauli_from_params``; other channels give none (None).
     """
-    din, dout = ch.dim_in, ch.dim_out
-    if (din, dout) == (2, 2):
+    if (ch.dim_in, ch.dim_out) == (2, 2):
         t_mat, shift = _affine_bloch_map(ch)
 
         def pulled(xm):
@@ -637,8 +636,7 @@ def _pulled_back_effects(ch: QuantumChannel, n_out: int):
             return (w0 + w @ shift, w @ t_mat), pull_back_pulled
     else:
         def pulled(xm):
-            duals = _dual_effect_stack(ch, povm_elements_from_params(xm, dout, n_out))
-            return (_pauli_form(duals) if din == 2 else duals), None
+            return _dual_effect_stack(ch, povm_elements_from_params(xm, ch.dim_out, n_out)), None
     return pulled
 
 
@@ -656,7 +654,7 @@ def _joint_objective(first, second, information, split: int):
 
 
 # Settings of every L-BFGS-B block solve; the block's evaluation budget caps
-# it as it caps Nelder-Mead.
+# each solve, finite-difference evaluations included.
 _LBFGSB_OPTIONS = {"ftol": 1e-12, "gtol": 1e-9}
 
 
@@ -670,27 +668,23 @@ def minimize(fun, x0, **options):
 
 
 def _maximize(fun, x0: np.ndarray, maxfev: int, jac: bool = False) -> np.ndarray:
-    """Local maximiser of ``fun`` from ``x0``, within ``maxfev`` evaluations.
+    """Local maximiser of ``fun`` from ``x0`` by L-BFGS-B, within ``maxfev`` evaluations.
 
-    With ``jac``, ``fun`` returns (value, gradient) and L-BFGS-B runs; a
-    non-finite result returns ``x0``.  Otherwise adaptive Nelder-Mead runs
-    and its best vertex is returned.
+    With ``jac``, ``fun`` returns (value, gradient); otherwise it returns the
+    value and the gradient is taken by finite differences.  A non-finite
+    result returns ``x0``.
     """
     x0 = np.asarray(x0, dtype=float)
     if jac:
         def negated(v):
             value, grad = fun(v)
             return -value, -grad
+    else:
+        def negated(v):
+            return -fun(v)
 
-        res = minimize(negated, x0, jac=True, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
-        return res.x if np.all(np.isfinite(res.x)) else x0
-    res = minimize(
-        lambda v: -fun(v),
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": int(maxfev), "xatol": 1e-7, "fatol": 1e-11, "adaptive": True},
-    )
-    return res.x
+    res = minimize(negated, x0, jac=jac, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
+    return res.x if np.all(np.isfinite(res.x)) else x0
 
 
 def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, maxfev_per_param: int = 60):
@@ -701,7 +695,7 @@ def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, m
     returns (value, gradient) (see ``_maximize``).  A sweep maximises each
     block's objective in turn, then takes ``sweep_value(*blocks)``; the
     search stops once a sweep gains less than ``cfg.tol``.  With one block
-    of all parameters (as on 2->2 channels) a sweep is one joint solve.
+    of all parameters a sweep is one joint solve.
     Returns the blocks, the best sweep value and whether that test (rather
     than ``cfg.max_iters``) ended the search.
     """
@@ -815,9 +809,9 @@ def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) ->
 # Shannon capacity
 # ---------------------------------------------------------------------------
 
-# Least weight a signal carries into the signal and POVM blocks: an exact
-# weight solve drops signals to weight 0, where the blocks give them no slope
-# to come back.  Sweep values and warm starts keep the exact weights.
+# Least weight a signal carries into the block objectives: an exact weight
+# solve drops signals to weight 0, where the blocks give them no slope to
+# come back.  Sweep values and warm starts keep the exact weights.
 _BLOCK_WEIGHT_FLOOR = 1e-6
 
 
@@ -830,11 +824,9 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     """Best feasible mutual information over ensembles and product POVMs.
 
     Alternates exactly solved weights on the induced classical kernel with
-    local search over the signal states and the rank-1 isometry
+    one joint local search over the signal states and the rank-1 isometry
     parametrisation of the POVM, keeping the best of ``cfg.restarts``
-    deterministic seeds.  On a 2->2 channel the signals and the POVM form one
-    block, solved jointly by L-BFGS-B; elsewhere they are two blocks.  The
-    value is a lower bound on the true supremum.
+    deterministic seeds.  The value is a lower bound on the true supremum.
     """
     din, dout = ch.dim_in, ch.dim_out
     n_states = max(cfg.ensemble_size_cap, 2)
@@ -847,8 +839,7 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     def run(restart, rng):
         warm = {"w": None}
 
-        def ba_value(*blocks):  # of the signal then POVM parameters, in one block or two
-            cat_ = np.concatenate(blocks)
+        def ba_value(cat_):  # of the signal then POVM parameters
             effects = _dual_effect_stack(ch, povm_elements_from_params(cat_[ns:], dout, n_out))
             kern = _kernel(pure_states_from_params(cat_[:ns], din, n_states), effects)
             c, w = blahut_arimoto(kern, tol=1e-9, max_iters=250, init_weights=warm["w"])
@@ -869,25 +860,18 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
                 rng,
             )
 
-        # weights from the sweep-start kernel stay fixed inside the blocks
-        def joint_block(_):  # 2->2: signals and POVM in one block
+        # weights from the sweep-start kernel stay fixed inside the block
+        def joint_block(_):
             w = _block_weights(warm["w"])
-            return _joint_objective(_bloch_of_angles, pulled, lambda b, e: _mi_bloch(w, b, e), ns), True
+            if qubit:
+                return _joint_objective(_bloch_of_angles, pulled, lambda b, e: _mi_bloch(w, b, e), ns), True
 
-        def signal_block(_, xm_):
-            return _mi_signal_objective(_block_weights(warm["w"]), pulled(xm_)[0], din, n_states)
+            def objective(v):
+                return _mi_fixed_weights(w, _kernel(pure_states_from_params(v[:ns], din, n_states), pulled(v[ns:])[0]))
 
-        def povm_block(xs_, _):
-            w = _block_weights(warm["w"])
-            if din == 2:  # Bloch vectors against Pauli forms
-                states, kernel = _bloch_of_angles(xs_)[0], _bloch_kernel
-            else:
-                states, kernel = pure_states_from_params(xs_, din, n_states), _kernel
-            return (lambda v: _mi_fixed_weights(w, kernel(states, pulled(v)[0]))), False
+            return objective, False
 
-        parts, objectives = ([cat], [joint_block]) if qubit else ([cat[:ns], cat[ns:]], [signal_block, povm_block])
-        parts, _, converged = _block_ascent(parts, ba_value, objectives, cfg)
-        cat = np.concatenate(parts)
+        (cat,), _, converged = _block_ascent([cat], ba_value, [joint_block], cfg)
 
         states = pure_states_from_params(cat[:ns], din, n_states)
         elements = povm_elements_from_params(cat[ns:], dout, n_out)
@@ -1064,41 +1048,20 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     nr = n_density_params(din)
     qubit = (din, dout) == (2, 2)
 
-    # the objective is information(input_of(xr), effects_of(xm)); on a qubit
-    # input, parametrisations come with their pull-backs and information with
-    # its gradients in both arguments
+    # the objective of the input then POVM parameters; on a 2->2 channel the
+    # parametrisations come with their pull-backs and the information with its
+    # gradients in both arguments
     effects_of = _pulled_back_effects(ch, n_out)
-    if din == 2:
-        input_of, information = _density_bloch_from_params, _measured_input_bloch
+    if qubit:
+        joint = _joint_objective(_density_bloch_from_params, effects_of, _measured_input_bloch, nr), True
+
+        def value_of(cat):
+            return _measured_input_bloch(_density_bloch_from_params(cat[:nr])[0], effects_of(cat[nr:])[0])[0]
     else:
-        def input_of(xr_):
-            return density_from_params(xr_, din), None
+        def value_of(cat):
+            return _measured_input_fast(density_from_params(cat[:nr], din), effects_of(cat[nr:])[0])
 
-        def information(rho, duals):
-            return _measured_input_fast(rho, duals), None, None
-
-    def value_of(*blocks):  # of the input then POVM parameters, in one block or two
-        cat = np.concatenate(blocks)
-        return information(input_of(cat[:nr])[0], effects_of(cat[nr:])[0])[0]
-
-    def joint_block(_):  # 2->2: input and POVM in one block
-        return _joint_objective(input_of, effects_of, information, nr), True
-
-    def input_block(_, xm_):
-        effects = effects_of(xm_)[0]
-        if din != 2:
-            return (lambda v: information(input_of(v)[0], effects)[0]), False
-
-        def objective(v):
-            rho, pull_back = input_of(v)
-            value, g_rho, _ = information(rho, effects)
-            return value, pull_back(g_rho)
-
-        return objective, True
-
-    def povm_block(xr_, _):
-        rho = input_of(xr_)[0]
-        return (lambda v: information(rho, effects_of(v)[0])[0]), False
+        joint = value_of, False
 
     def run(restart, rng):
         if restart == 0 and qubit:
@@ -1122,23 +1085,13 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
                 n_draws=32,
             )
 
-        parts, objectives = ([cat], [joint_block]) if qubit else ([cat[:nr], cat[nr:]], [input_block, povm_block])
-        parts, value, converged = _block_ascent(parts, value_of, objectives, cfg)
-        return value, (np.concatenate(parts), converged)
+        (cat,), value, converged = _block_ascent([cat], value_of, [lambda _: joint], cfg)
+        return value, (cat, converged)
 
-    best_val, (best_x, best_conv), runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
-
-    def evaluate(cat):  # the exact value at these parameters
-        rho = density_from_params(cat[:nr], din)
-        povm = Povm(tuple(povm_elements_from_params(cat[nr:], dout, n_out)))
-        return measured_input_information(ch, rho, povm), rho, povm
-
-    # on two blocks, a joint polish of the winning restart removes residual zigzag
-    # between them; the unpolished point stays if the polish regressed the re-evaluation
-    value, rho, povm = evaluate(best_x if qubit else _maximize(value_of, best_x, 45 * len(best_x)))
-    if value < best_val and not qubit:
-        value, rho, povm = evaluate(best_x)
-    return CapacityResult(value, None, povm, frozen(rho), runs, best_conv)
+    _, (best_x, best_conv), runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
+    rho = density_from_params(best_x[:nr], din)
+    povm = Povm(tuple(povm_elements_from_params(best_x[nr:], dout, n_out)))
+    return CapacityResult(measured_input_information(ch, rho, povm), None, povm, frozen(rho), runs, best_conv)
 
 
 def _coarse_qubit_scan(ch: QuantumChannel, density: int = 10):
@@ -1256,9 +1209,7 @@ def _two_point_kernels(ch: QuantumChannel, density: int):
     return grid, meas[keep], jlo[keep], jhi[keep], lo[keep], hi[keep]
 
 
-def qubit_grid_oracle(
-    ch: QuantumChannel, grid_density: int, ensemble_size: int = 2, povm_arity: int = 2
-) -> float:
+def qubit_grid_oracle(ch: QuantumChannel, grid_density: int, povm_arity: int = 2) -> float:
     """Brute-force lower bound for qubit channels on a deterministic Bloch grid.
 
     Candidate signals are the grid of pure states; candidate measurements are
@@ -1272,10 +1223,8 @@ def qubit_grid_oracle(
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionMismatchError("grid oracle handles qubit channels only")
-    if ensemble_size not in (2, 3) or povm_arity not in (2, 3):
-        raise InvariantViolation("ensemble_size and povm_arity must be 2 or 3")
-    if povm_arity > ensemble_size:
-        raise InvariantViolation("povm_arity must not exceed ensemble_size")
+    if povm_arity not in (2, 3):
+        raise InvariantViolation(f"povm_arity must be 2 or 3, got {povm_arity}")
 
     best = 0.0
     if povm_arity == 2:

@@ -374,7 +374,7 @@ def load_channel(text: str) -> QuantumChannel:
             states = [_matrix_from_json(m, f"states[{i}]") for i, m in enumerate(need("states"))]
             povm = Povm(tuple(_matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(need("povm"))))
             return omega_channel(states, povm)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DimensionMismatchError) as exc:
         raise ChannelSpecError(f"kind '{kind}': {exc}") from exc
     raise ChannelSpecError(f"unknown channel kind '{kind}'")
 

@@ -115,7 +115,8 @@ def frozen_stack(mats, what: str, shape: tuple[int, int] | None = None) -> np.nd
     """Read-only complex (n, ...) copy of a non-empty sequence of equal-shape matrices.
 
     ``shape`` defaults to the first matrix's; a mismatch raises
-    DimensionMismatchError naming the first offending ``what``.
+    DimensionMismatchError, and a NaN or infinite entry InvariantViolation,
+    naming the first offending ``what``.
     """
     shape = tuple(shape or np.shape(mats[0]))
     try:
@@ -127,6 +128,9 @@ def frozen_stack(mats, what: str, shape: tuple[int, int] | None = None) -> np.nd
         raise DimensionMismatchError(
             f"{what} {i} has shape {np.shape(mats[i])}, expected {shape if len(shape) == 2 else 'a matrix'}"
         )
+    if not np.isfinite(stack).all():
+        i = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+        raise InvariantViolation(f"{what} {i} has a non-finite entry")
     stack.setflags(write=False)
     return stack
 

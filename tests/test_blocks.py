@@ -116,6 +116,15 @@ class TestReductions:
             assert isinstance(same, BlockDiagonalState)
             np.testing.assert_allclose(same.blocks[0], pbr.blocks[0], atol=1e-12)
 
+    def test_reduction_follows_requested_order(self):
+        ch, ens, povm = random_instance(402)
+        joint = joint_block_state(ch, ens, povm)
+        np.testing.assert_array_equal(reduction(joint, "BA"), reduction(joint, "AB").T)
+        ab, ba = reduction(joint, "ABQ"), reduction(joint, "BAQ")
+        assert ba.axes == ("B", "A") and ba.labels == tuple(sorted((b, a) for a, b in ab.labels))
+        for a, b in ab.labels:
+            np.testing.assert_array_equal(ba.block((b, a)), ab.block((a, b)))
+
     def test_unsupported_reduction(self):
         ch, ens, povm = random_instance(400)
         joint = joint_block_state(ch, ens, povm)

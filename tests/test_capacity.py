@@ -463,7 +463,7 @@ class TestGridOracle:
 
     def test_trine_arity(self):
         # three-outcome readout of a noiseless qubit tops out at log2(3) - 1
-        got = qubit_grid_oracle(identity_channel(2), 20, ensemble_size=3, povm_arity=3)
+        got = qubit_grid_oracle(identity_channel(2), 20, povm_arity=3)
         assert got <= np.log2(3) - 1 + 1e-6
         assert got >= np.log2(3) - 1 - 2e-2
 
@@ -473,7 +473,7 @@ class TestGridOracle:
 
     def test_rejects_bad_arity(self):
         with pytest.raises(InvariantViolation):
-            qubit_grid_oracle(identity_channel(2), 10, ensemble_size=2, povm_arity=3)
+            qubit_grid_oracle(identity_channel(2), 10, povm_arity=4)
 
     def test_envelope_against_optimizer(self):
         for seed in (80, 81):
@@ -731,21 +731,6 @@ class TestBlochObjectives:
                     for g in (g_rho, g_effects, rho_back(g_rho), effects_back(g_effects)):
                         assert np.all(np.isfinite(g))
 
-    def test_measured_input_wider_output(self):
-        # dim_in 2, dim_out 3: the pulled-back effects come from the matrix route
-        rng = np.random.default_rng(25)
-        for seed in range(4):
-            ch = measured_channel(random_channel(2, 2, seed=310 + seed), trine_povm())
-            assert (ch.dim_in, ch.dim_out) == (2, 3)
-            xm = rng.normal(size=n_povm_params(3, 4))
-            elements = povm_elements_from_params(xm, 3, 4)
-            effects, pull_back = cap._pulled_back_effects(ch, 4)(xm)
-            assert pull_back is None  # so the POVM block keeps Nelder-Mead
-            for xr in [rng.normal(size=n_density_params(2))] + self.degenerate_density_params():
-                got = cap._measured_input_bloch(cap._density_bloch_from_params(xr)[0], effects)[0]
-                want = measured_input_information(ch, density_from_params(xr, 2), Povm(tuple(elements)))
-                assert abs(got - want) < 1e-12
-
     def test_wider_output_estimate_reproduces_value(self):
         ch = measured_channel(random_channel(2, 2, seed=320), trine_povm())
         res = measured_input_bound(ch, QUICK)
@@ -753,17 +738,26 @@ class TestBlochObjectives:
 
 
 def _block_solves(monkeypatch, estimator, ch, cfg=OptimizerConfig(restarts=1, max_iters=1)):
-    """(objective, start, budget, jac) of every ``_maximize`` call the estimator makes on ``ch``."""
-    solves, maximize = [], cap._maximize
+    """Every ``_maximize`` call (objective, start, budget, jac) the estimator makes on ``ch``, in order,
+    with a None for each sweep value taken between them."""
+    log, maximize, ascent = [], cap._maximize, cap._block_ascent
 
     def recording(fun, x0, maxfev, jac=False):
-        solves.append((fun, np.array(x0), maxfev, jac))
+        log.append((fun, np.array(x0), maxfev, jac))
         return maximize(fun, x0, maxfev, jac)
 
+    def logged_ascent(blocks, sweep_value, *rest, **options):
+        def value(*parts):
+            log.append(None)
+            return sweep_value(*parts)
+
+        return ascent(blocks, value, *rest, **options)
+
     monkeypatch.setattr(cap, "_maximize", recording)
+    monkeypatch.setattr(cap, "_block_ascent", logged_ascent)
     estimator(ch, cfg)
     monkeypatch.undo()
-    return solves
+    return log
 
 
 def _central_difference(f, x, h=1e-6):
@@ -814,7 +808,7 @@ class TestBlochGradients:
     def test_mi_joint(self, monkeypatch):
         # the one block shannon_capacity solves on a 2->2 channel: signals, then POVM
         for ch, _, xs, xm, _ in self.cases():
-            (objective, x0, _, _), *_ = _block_solves(monkeypatch, shannon_capacity, ch)
+            objective, x0, _, _ = next(filter(None, _block_solves(monkeypatch, shannon_capacity, ch)))
             self.assert_gradient(objective, x0)
             self.assert_gradient(objective, np.concatenate([xs, xm]))
 
@@ -864,22 +858,43 @@ class TestBlochGradients:
             if i in (0, 1, 2, 5, 6):  # zero g, zero or tiny first column
                 np.testing.assert_array_equal(grad, np.zeros_like(x))
 
-    @pytest.mark.parametrize("estimator, n_params", [(shannon_capacity, 8 + 16), (measured_input_bound, 10 + 16)])
-    def test_one_joint_solve_per_sweep(self, monkeypatch, estimator, n_params):
-        # on a 2->2 channel every block solve is one L-BFGS-B call over all the
-        # parameters at the usual budget: no split blocks and no polish
-        solves = _block_solves(monkeypatch, estimator, random_channel(2, 3, seed=361), QUICK)
-        assert solves
-        for _, x0, maxfev, jac in solves:
-            assert jac and len(x0) == n_params and maxfev == 60 * n_params
+    JOINT_BLOCKS = [
+        (shannon_capacity, (2, 2), 8 + 16),
+        (measured_input_bound, (2, 2), 10 + 16),
+        (shannon_capacity, (3, 3), 24 + 24),
+        (measured_input_bound, (3, 3), 21 + 24),
+        (shannon_capacity, (2, 3), 8 + 24),
+        (measured_input_bound, (2, 3), 10 + 24),
+    ]
 
-    def test_maximize_keeps_start_on_non_finite_result(self):
-        # a value and slope of 1e308 overflow inside L-BFGS-B, which then returns NaN
-        x0 = np.array([0.3, -0.2])
+    @pytest.mark.parametrize(
+        "estimator, dims, n_params", JOINT_BLOCKS, ids=[f"{e.__name__}-{n}" for e, _, n in JOINT_BLOCKS]
+    )
+    def test_one_joint_solve_per_sweep(self, monkeypatch, estimator, dims, n_params):
+        # every sweep is one L-BFGS-B call over all the parameters at the usual
+        # budget, with the closed-form gradient on 2->2 channels only: no split
+        # blocks, and no call after the last sweep
+        if dims == (2, 3):
+            ch = measured_channel(random_channel(2, 2, seed=362), trine_povm())
+        else:
+            ch = random_channel(dims[0], 3, seed=361)
+        assert (ch.dim_in, ch.dim_out) == dims
+        log = _block_solves(monkeypatch, estimator, ch, QUICK)
+        kinds = "".join("v" if event is None else "s" for event in log)
+        assert "s" in kinds and "ss" not in kinds and kinds[0] == kinds[-1] == "v"  # sweep values around solves
+        solves = {(len(x0), maxfev, jac) for _, x0, maxfev, jac in filter(None, log)}
+        assert solves == {(n_params, 60 * n_params, dims == (2, 2))}
+
+    @pytest.mark.parametrize("jac", [True, False])
+    def test_maximize_keeps_start_on_non_finite_result(self, jac):
+        # L-BFGS-B returns NaN when a value and slope of 1e308 overflow inside
+        # it, and when a finite-difference step leaves the domain, where the
+        # value is -inf, so that the slope is infinite
+        x0 = np.array([1.0 - 1e-9, -0.2])
 
         def overflowing(v):
             return (-float(v @ v) if np.all(np.abs(v) < 1.0) else -np.inf), np.full_like(v, -1e308)
 
         with np.errstate(all="ignore"):
-            x = cap._maximize(overflowing, x0, 100, jac=True)
+            x = cap._maximize(overflowing if jac else (lambda v: overflowing(v)[0]), x0, 100, jac=jac)
         np.testing.assert_array_equal(x, x0)

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from chancap.channels import matrix_to_json
 from chancap.cli import EXIT_BOUND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 
 FAST = ["--restarts", "2", "--max-iters", "3", "--tol", "1e-6"]
@@ -212,6 +214,20 @@ class TestConfigValidation:
 
 
 class TestChannelInfoCommand:
+    def test_mixed_shape_spec_is_a_spec_error(self, capsys, tmp_path):
+        spec = tmp_path / "mixed.json"
+        states = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([1.0, 0.0, 0.0]))]
+        povm = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+        spec.write_text(json.dumps({"kind": "qc", "states": states, "povm": povm}))
+        assert main(["channel-info", str(spec)]) == EXIT_USAGE
+        assert "output state 1 has shape (3, 3)" in capsys.readouterr().err
+
+    def test_nan_spec_is_an_invariant_violation(self, capsys, tmp_path):
+        spec = tmp_path / "nan.json"
+        spec.write_text('{"kind": "kraus", "operators": [[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}')
+        assert main(["channel-info", str(spec)]) == EXIT_INVARIANT
+        assert "Kraus operator 0 has a non-finite entry" in capsys.readouterr().err
+
     def test_reports_shape(self, capsys, identity_spec):
         code, report = run(capsys, ["channel-info", identity_spec])
         assert code == EXIT_OK

@@ -151,6 +151,22 @@ def ref_density_violation(states):
     return None
 
 
+def first_non_finite(stack):
+    """Index of the first matrix with a NaN or infinite entry, or None; the stack checks it before any other."""
+    return next((i for i, m in enumerate(stack) if not np.all(np.isfinite(m))), None)
+
+
+def assert_rejects_non_finite(make, stack, word):
+    """True when ``stack`` has a non-finite entry and ``make(stack)`` names its first such element."""
+    index = first_non_finite(stack)
+    if index is None:
+        return False
+    with pytest.raises(InvariantViolation) as err:
+        make(stack)
+    assert "non-finite" in str(err.value) and named_index(err.value, word) == index
+    return True
+
+
 def named_index(exc, word):
     found = re.search(rf"{word} (\d+)", str(exc))
     return int(found.group(1)) if found else None
@@ -178,6 +194,8 @@ def corrupt(rng, stack, n_bad, kinds):
             out[i] = out[i] - (np.linalg.eigvalsh(out[i]).max() + 1e-6) * np.outer(v, v.conj())
         elif kind == "identity":
             out[i] = out[i] + (1.0 + 1e-6) * np.outer(v, v.conj())
+        elif kind == "nan":
+            out[i, int(rng.integers(d)), int(rng.integers(d))] = np.nan
         else:  # trace
             out[i] = out[i] * (1.0 + 1e-6)
     return out
@@ -338,7 +356,9 @@ def test_flatten_and_stage_ensembles_match_loops(seed, depth):
 @given(d=dims, n=counts, seed=seeds, n_bad=st.integers(0, 3))
 def test_povm_validation_matches_loop(d, n, seed, n_bad):
     rng = np.random.default_rng(seed)
-    elements = corrupt(rng, random_povm(d, n, rng).elements, n_bad, ["hermitian", "psd", "identity", "trace"])
+    elements = corrupt(rng, random_povm(d, n, rng).elements, n_bad, ["hermitian", "psd", "identity", "trace", "nan"])
+    if assert_rejects_non_finite(lambda s: Povm(tuple(s)), elements, "element"):
+        return
     kind, index = ref_povm_violation(list(elements))
     if kind is None:
         np.testing.assert_array_equal(Povm(tuple(elements)).elements, elements)
@@ -355,9 +375,11 @@ def test_povm_validation_matches_loop(d, n, seed, n_bad):
 @given(d=dims, n=counts, seed=seeds, n_bad=st.integers(0, 3))
 def test_density_validation_matches_loop(d, n, seed, n_bad):
     rng = np.random.default_rng(seed)
-    states = corrupt(rng, psd_stack(rng, n, d), n_bad, ["hermitian", "psd", "trace"])
-    index = ref_density_violation(states)
+    states = corrupt(rng, psd_stack(rng, n, d), n_bad, ["hermitian", "psd", "trace", "nan"])
     probs = np.full(n, 1.0 / n)
+    if assert_rejects_non_finite(lambda s: Ensemble(probs, tuple(s)), states, "ensemble state"):
+        return
+    index = ref_density_violation(states)
     if index is None:
         assert_density_matrix(states)
         np.testing.assert_array_equal(Ensemble(probs, tuple(states)).states, states)
@@ -371,8 +393,10 @@ def test_density_validation_matches_loop(d, n, seed, n_bad):
 @given(d=dims, n=counts, seed=seeds, n_bad=st.integers(0, 3))
 def test_block_validation_matches_loop(d, n, seed, n_bad):
     rng = np.random.default_rng(seed)
-    blocks = corrupt(rng, psd_stack(rng, n, d) / n, n_bad, ["psd"])
+    blocks = corrupt(rng, psd_stack(rng, n, d) / n, n_bad, ["psd", "nan"])
     labels = tuple((i,) for i in range(n))
+    if assert_rejects_non_finite(lambda s: BlockDiagonalState(("B",), "R", labels, tuple(s)), blocks, "block"):
+        return
     low = [np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() for b in blocks]
     index = next((i for i, v in enumerate(low) if v < -ATOL_PSD), None)
     if index is None:
@@ -384,10 +408,12 @@ def test_block_validation_matches_loop(d, n, seed, n_bad):
 
 
 @CASES
-@given(d=dims, seed=seeds, scale=st.sampled_from([1.0, 1.0 + 1e-6, 0.9]))
+@given(d=dims, seed=seeds, scale=st.sampled_from([1.0, 1.0 + 1e-6, 0.9, np.nan]))
 def test_channel_validation_matches_loop(d, seed, scale):
     ch = random_channel(d, 1 + seed % 4, seed=seed % 100_000)
     kraus = [k * (scale if i == 0 else 1.0) for i, k in enumerate(ch.kraus)]
+    if assert_rejects_non_finite(lambda s: QuantumChannel(tuple(s)), kraus, "Kraus operator"):
+        return
     dev = np.max(np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(d)))
     if dev <= ATOL_COMPLETENESS:
         np.testing.assert_array_equal(QuantumChannel(tuple(kraus)).kraus, kraus)
