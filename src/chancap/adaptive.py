@@ -10,6 +10,7 @@ strategies relates to the single-copy capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -24,12 +25,15 @@ from .capacity import (
     shannon_capacity,
     _best_of_draws,
     _best_restart,
+    _bloch_angles,
+    _bloch_of_angles,
     _block_ascent,
     _block_weights,
     _kernel,
     _mi_fixed_weights,
+    _pauli_form,
 )
-from .channels import PAULI, Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
+from .channels import Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
 from .errors import DimensionMismatchError, InvariantViolation
 from .information import Ensemble, PROB_FLOOR, mutual_information
 from .linalg import ATOL_COMPLETENESS, hermitize, partial_trace, tensor, tensor_pairs
@@ -210,20 +214,14 @@ def _strategy_param_count(depth: int) -> int:
     return 2 * (2 ** depth - 1)
 
 
+def _stage_prefixes(depth: int) -> list[tuple[int, ...]]:
+    """Stage nodes of a depth-``depth`` tree of 2-outcome stages, level by level in lexicographic order."""
+    return [prefix for level in range(depth) for prefix in product(range(2), repeat=level)]
+
+
 def _strategy_from_params(x: np.ndarray, depth: int) -> AdaptiveStrategy:
-    stages: dict[tuple[int, ...], Povm] = {}
-    idx = 0
-    prefixes = [()]
-    for _ in range(depth):
-        nxt = []
-        for prefix in prefixes:
-            theta, phi = x[idx], x[idx + 1]
-            idx += 2
-            n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-            stages[prefix] = projective_povm(n)
-            nxt.extend(prefix + (b,) for b in range(2))
-        prefixes = nxt
-    return AdaptiveStrategy(depth, stages)
+    directions = _bloch_of_angles(x)[0]
+    return AdaptiveStrategy(depth, {p: projective_povm(n) for p, n in zip(_stage_prefixes(depth), directions)})
 
 
 def best_conditional_information(
@@ -314,19 +312,12 @@ def _state_params_of(e: Ensemble, dim: int, n_states: int) -> np.ndarray:
 
 
 def _strategy_params_of(strategy: AdaptiveStrategy) -> np.ndarray:
+    """Bloch angles of the direction of each stage's first element, in ``_strategy_from_params`` order."""
+    firsts = np.stack([strategy.stage(p).elements[0] for p in _stage_prefixes(strategy.depth)])
     x = []
-    prefixes = [()]
-    for _ in range(strategy.depth):
-        nxt = []
-        for prefix in prefixes:
-            povm = strategy.stage(prefix)
-            e0 = povm.elements[0]
-            n = np.array([np.trace(e0 @ s).real for s in PAULI])
-            norm = np.linalg.norm(n)
-            n = n / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-            x.extend([np.arccos(np.clip(n[2], -1, 1)), np.arctan2(n[1], n[0])])
-            nxt.extend(prefix + (b,) for b in range(2))
-        prefixes = nxt
+    for n in 2.0 * _pauli_form(firsts)[1]:
+        norm = np.linalg.norm(n)
+        x.extend(_bloch_angles(n / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])))
     return np.asarray(x)
 
 
@@ -402,14 +393,10 @@ def _product_ensemble(r1: CapacityResult, r2: CapacityResult) -> Ensemble:
 
 def _projective_like(m: Povm) -> Povm:
     """Nearest two-outcome projective measurement to a qubit POVM's strongest axis."""
-    total = np.zeros(3)
-    for e in m.elements:
-        n = np.array([np.trace(e @ s).real for s in PAULI])
-        if np.linalg.norm(n) > np.linalg.norm(total):
-            total = n
-    if np.linalg.norm(total) < 1e-9:
-        total = np.array([0.0, 0.0, 1.0])
-    return projective_povm(total / np.linalg.norm(total))
+    bloch = 2.0 * _pauli_form(np.stack(m.elements))[1]
+    norms = [np.linalg.norm(n) for n in bloch]
+    i = int(np.argmax(norms))
+    return projective_povm(bloch[i] / norms[i] if norms[i] >= 1e-9 else np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass(frozen=True)

@@ -76,58 +76,6 @@ class CapacityResult:
     converged: bool = False
 
 
-@dataclass(frozen=True)
-class QubitEffect:
-    """Qubit POVM element in Pauli form E = w0 I + w . sigma.
-
-    Feasible (0 <= E <= I) exactly when |w| <= min(w0, 1 - w0); a POVM
-    additionally satisfies sum w0 = 1 and sum w = 0.
-    """
-
-    weight: float
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bloch, dtype=float)
-        if b.shape != (3,):
-            raise DimensionMismatchError("bloch must be a 3-vector")
-        if not 0.0 <= self.weight <= 1.0:
-            raise InvariantViolation(f"weight {self.weight} outside [0, 1]")
-        if np.linalg.norm(b) > min(self.weight, 1.0 - self.weight) + 1e-12:
-            raise InvariantViolation(
-                f"|w| = {np.linalg.norm(b):.6f} exceeds min(w0, 1-w0) = "
-                f"{min(self.weight, 1.0 - self.weight):.6f}"
-            )
-        object.__setattr__(self, "bloch", frozen(b))
-
-    def to_matrix(self) -> np.ndarray:
-        e = self.weight * np.eye(2, dtype=complex)
-        for c, s in zip(self.bloch, PAULI):
-            e = e + c * s
-        return e
-
-    @classmethod
-    def from_matrix(cls, e: np.ndarray) -> "QubitEffect":
-        e = np.asarray(e, dtype=complex)
-        if e.shape != (2, 2):
-            raise DimensionMismatchError("qubit effect must be 2x2")
-        w0 = float(np.trace(e).real / 2.0)
-        w = np.array([float(np.trace(e @ s).real / 2.0) for s in PAULI])
-        return cls(w0, w)
-
-
-def qubit_povm_effects(m: Povm) -> list[QubitEffect]:
-    """Pauli-form parameters of a qubit POVM, with completeness re-checked."""
-    if m.dim != 2:
-        raise DimensionMismatchError("Pauli form applies to qubit POVMs only")
-    effects = [QubitEffect.from_matrix(e) for e in m.elements]
-    if abs(sum(e.weight for e in effects) - 1.0) > 1e-9:
-        raise InvariantViolation("effect weights do not sum to 1")
-    if np.linalg.norm(sum(e.bloch for e in effects)) > 1e-9:
-        raise InvariantViolation("effect Bloch vectors do not sum to 0")
-    return effects
-
-
 # ---------------------------------------------------------------------------
 # Input weights: exact Newton solves on the simplex
 # ---------------------------------------------------------------------------
@@ -285,35 +233,25 @@ def _binary_capacity(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
 # Parametrisations (feasible by construction)
 # ---------------------------------------------------------------------------
 
-def _bloch_to_vector(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-
-
 def pure_states_from_params(x: np.ndarray, dim: int, n: int) -> np.ndarray:
     """Stack of n pure density matrices from unconstrained real parameters.
 
     Qubits use Bloch angles (theta, phi) per state; higher dimensions use 2*dim
-    reals per state interpreted as a complex vector and normalised.
+    reals per state interpreted as a complex vector and normalised (a vector
+    of norm below 1e-12 gives e_0).
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n, dim, dim), dtype=complex)
     if dim == 2:
-        for j in range(n):
-            v = _bloch_to_vector(x[2 * j], x[2 * j + 1])
-            out[j] = np.outer(v, v.conj())
+        theta, phi = x[0:2 * n:2], x[1:2 * n:2]
+        v = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
     else:
-        per = 2 * dim
-        for j in range(n):
-            chunk = x[per * j:per * (j + 1)]
-            v = chunk[:dim] + 1j * chunk[dim:]
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                v = np.zeros(dim, dtype=complex)
-                v[0] = 1.0
-                norm = 1.0
-            v = v / norm
-            out[j] = np.outer(v, v.conj())
-    return out
+        chunks = x[: 2 * dim * n].reshape(n, 2, dim)
+        v = chunks[:, 0] + 1j * chunks[:, 1]
+        norms = np.array([np.linalg.norm(u) for u in v])  # norm(v, axis=1) sums in another order
+        small = norms < 1e-12
+        v[small], norms[small] = np.eye(dim)[0], 1.0
+        v = v / norms[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def n_state_params(dim: int, n: int) -> int:
@@ -401,11 +339,14 @@ def _mi_fixed_weights(weights: np.ndarray, kernel: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 #
 # A qubit state is rho = (I + n . sigma) / 2 and an effect E = e0 I + e . sigma,
-# so Tr(rho E) = e0 + n . e.  Each helper returns, from the same parameters,
-# the Bloch or Pauli form of the matrix its ``*_from_params`` counterpart
-# builds, with its pull-back: a callable taking a gradient in that form to
-# the gradient in the parameters (a vector-Jacobian product).  Where a helper
-# takes the matrix route (degenerate parameters) its pull-back returns zeros.
+# so Tr(rho E) = e0 + n . e.  ``_pauli_form``, ``_bloch_state``, ``_bloch_angles``
+# and ``_bloch_of_angles`` are the package's only conversions between Bloch
+# angles, Bloch vectors, Pauli forms and 2x2 matrices, apart from the POVM
+# constructors in ``channels``.  Each parametrisation helper returns, from the
+# same parameters, the Bloch or Pauli form of the matrix its ``*_from_params``
+# counterpart builds, with its pull-back: a callable taking a gradient in that
+# form to the gradient in the parameters (a vector-Jacobian product).  Where a
+# helper takes the matrix route (degenerate parameters) its pull-back returns zeros.
 
 _PAULI_STACK = np.stack(PAULI)
 
@@ -414,6 +355,15 @@ def _pauli_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e0, e) with M = e0 I + e . sigma, for a stack of 2x2 Hermitian matrices."""
     e = 0.5 * np.einsum("...ab,kba->...k", mats, _PAULI_STACK).real
     return 0.5 * np.einsum("...aa->...", mats).real, e
+
+
+def _bloch_state(n: np.ndarray) -> np.ndarray:
+    """Density matrices (I + n . sigma) / 2 of Bloch vectors n (the last axis)."""
+    return 0.5 * (np.eye(2, dtype=complex) + np.einsum("...k,kab->...ab", n, _PAULI_STACK))
+
+
+def _bloch_angles(n: np.ndarray) -> tuple[float, float]:
+    return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]))
 
 
 def _affine_bloch_map(ch: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -768,13 +718,8 @@ def _n_canonical_inits(dim: int) -> int:
 
 def _state_inits(dim: int, n: int, restart: int) -> np.ndarray:
     """Canonical signal parameters of a restart below ``_n_canonical_inits(dim)``."""
-    if dim == 2:
-        angles = list(_CANONICAL_ANGLES.values())[restart]
-        x = np.zeros(2 * n)
-        for j in range(n):
-            t, p = angles[j % len(angles)]
-            x[2 * j], x[2 * j + 1] = t, p
-        return x
+    if dim == 2:  # the restart's canonical directions, repeated cyclically
+        return np.resize(list(_CANONICAL_ANGLES.values())[restart], (n, 2)).ravel()
     x = np.zeros(n_state_params(dim, n))
     per = 2 * dim
     for j in range(n):
@@ -1110,14 +1055,6 @@ def _coarse_qubit_scan(ch: QuantumChannel, density: int = 10):
     return float(values[i]), grid[jlo[i]], grid[jhi[i]], weights[i], meas[i]
 
 
-def _bloch_state(n: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(n, PAULI)))
-
-
-def _bloch_angles(n: np.ndarray) -> tuple[float, float]:
-    return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]))
-
-
 def _projective_rows(n: np.ndarray, n_out: int) -> np.ndarray:
     lam, vec = np.linalg.eigh(_bloch_state(n))
     rows = np.zeros((n_out, 2), dtype=complex)
@@ -1137,12 +1074,8 @@ def _density_params_from_state(rho: np.ndarray) -> np.ndarray:
 def _witness_inits(ch: QuantumChannel, n_states: int, n_out: int):
     """Shannon-style and measured-input inits from the coarse scan's argmax."""
     _, b_lo, b_hi, w, n = _coarse_qubit_scan(ch)
-    angles = [_bloch_angles(b_lo), _bloch_angles(b_hi),
-              (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
-    xs = np.zeros(2 * n_states)
-    for j in range(n_states):
-        t, p = angles[j % len(angles)]
-        xs[2 * j], xs[2 * j + 1] = t, p
+    angles = [_bloch_angles(b_lo), _bloch_angles(b_hi), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
+    xs = np.resize(angles, (n_states, 2)).ravel()
     xm = _povm_params_from_rows(_projective_rows(n, n_out))
     rho = w[0] * _bloch_state(b_lo) + w[1] * _bloch_state(b_hi)
     xr = _density_params_from_state(rho)
@@ -1174,20 +1107,17 @@ def _measured_input_fast(rho: np.ndarray, duals: np.ndarray) -> float:
 
 def _bloch_of_outputs(ch: QuantumChannel, bloch_in: np.ndarray) -> np.ndarray:
     """Map input Bloch vectors through the channel, returning output Bloch vectors."""
-    states = 0.5 * (np.eye(2, dtype=complex)[None] + np.einsum("jk,kab->jab", bloch_in, _PAULI_STACK))
     kr = np.stack(ch.kraus)
-    outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
-    return np.einsum("jab,kba->jk", outs, _PAULI_STACK).real
+    outs = np.einsum("kai,jib,kcb->jac", kr, _bloch_state(bloch_in), kr.conj())
+    return 2.0 * _pauli_form(outs)[1]
 
 
 def _grid_directions(density: int) -> np.ndarray:
-    thetas = np.linspace(0.0, np.pi, density + 1)
+    """The poles, then every interior polar angle of the grid at each azimuth (rows)."""
+    thetas = np.linspace(0.0, np.pi, density + 1)[1:-1]
     phis = np.linspace(0.0, 2 * np.pi, max(density, 2), endpoint=False)
-    pts = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    for t in thetas[1:-1]:
-        for p in phis:
-            pts.append(np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]))
-    return np.stack(pts)
+    angles = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).ravel()
+    return np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], _bloch_of_angles(angles)[0]])
 
 
 def _two_point_kernels(ch: QuantumChannel, density: int):

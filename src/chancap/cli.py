@@ -31,7 +31,7 @@ from .adaptive import (
 )
 from .capacity import (
     OptimizerConfig,
-    QubitEffect,
+    _pauli_form,
     holevo_capacity,
     measured_input_bound,
     shannon_capacity,
@@ -57,6 +57,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_BOUND = 3
+
+MAX_SWEEP_POINTS = 10_000
 
 _FAMILIES = {
     "depolarizing": depolarizing_channel,
@@ -96,19 +98,14 @@ def _emit(report: dict, args) -> None:
 
 
 def _bloch_coordinates(state: np.ndarray) -> list[float]:
-    from .channels import PAULI
-
-    return [float(np.trace(state @ s).real) for s in PAULI]
+    return (2.0 * _pauli_form(state)[1]).tolist()
 
 
 def _povm_summary(m: Povm) -> list:
     if m.dim != 2:
         return [{"element": i, "trace": float(np.trace(e).real)} for i, e in enumerate(m.elements)]
-    out = []
-    for i, e in enumerate(m.elements):
-        eff = QubitEffect.from_matrix(e)
-        out.append({"element": i, "w0": round(eff.weight, 9), "w": [round(c, 9) for c in eff.bloch]})
-    return out
+    w0, w = _pauli_form(np.stack(m.elements))
+    return [{"element": i, "w0": round(float(w0[i]), 9), "w": [round(c, 9) for c in w[i]]} for i in range(len(w))]
 
 
 def _ensemble_summary(ens) -> list:
@@ -228,6 +225,8 @@ def cmd_additivity(args) -> int:
     digest = _digest(b"\n".join(blobs))
 
     if args.depth == 2:
+        if len(channels) > 2:
+            raise ChannelSpecError("depth 2 takes one or two channel files")
         ch1 = channels[0]
         ch2 = channels[1] if len(channels) > 1 else channels[0]
         rep = additivity_experiment(ch1, ch2, cfg)
@@ -264,11 +263,11 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     cfg = _config_from_args(args)
     family = _FAMILIES[args.family]
-    params = []
-    p = args.start
-    while p <= args.stop + 1e-12:
-        params.append(round(p, 12))
-        p += args.step
+    span = (args.stop - args.start) / args.step + 1e-12  # in steps, with the end slack
+    if span >= MAX_SWEEP_POINTS:
+        sys.stderr.write(f"error: --step {args.step} gives more than {MAX_SWEEP_POINTS} points\n")
+        return EXIT_USAGE
+    params = [round(args.start + i * args.step, 12) for i in range(math.floor(max(span, -1.0)) + 1)]
 
     rows = []
     for p in params:

@@ -360,3 +360,30 @@ class TestDualConditional:
         cp = random_conditional_povm(rng)
         with pytest.raises(DimensionMismatchError):
             dual_conditional([identity_channel(2)], cp)
+
+
+class TestStrategyParams:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_params_of_strategy_rebuild_it(self, depth):
+        from chancap.adaptive import _strategy_from_params, _strategy_param_count, _strategy_params_of
+
+        rng = np.random.default_rng(60 + depth)
+        poles = np.array([0.0, np.pi, -np.pi, 2 * np.pi])
+        for k in range(40):
+            x = rng.normal(scale=3.0, size=_strategy_param_count(depth))
+            if k % 2 == 0:  # some stages at the poles, where phi is arbitrary
+                at_pole = rng.random(len(x) // 2) < 0.5
+                x[0::2][at_pole] = rng.choice(poles, size=int(at_pole.sum()))
+            strategy = _strategy_from_params(x, depth)
+            assert len(strategy.stages) == 2**depth - 1
+            rebuilt = _strategy_from_params(_strategy_params_of(strategy), depth)
+            np.testing.assert_allclose(
+                np.stack(flatten(rebuilt).elements), np.stack(flatten(strategy).elements), atol=1e-12
+            )
+
+    def test_projective_like_takes_the_longest_axis(self):
+        from chancap.adaptive import _projective_like
+
+        m = Povm(np.array([np.diag([0.5, 0.1]), np.diag([0.1, 0.8]), np.diag([0.4, 0.1])], dtype=complex))
+        np.testing.assert_allclose(np.stack(_projective_like(m).elements), np.stack(projective_povm([0, 0, -1]).elements))
+        assert _projective_like(Povm((0.5 * np.eye(2), 0.5 * np.eye(2)))).elements[0][0, 0] == 1.0  # no axis: z

@@ -5,7 +5,6 @@ from chancap import capacity as cap
 from chancap.capacity import (
     CapacityResult,
     OptimizerConfig,
-    QubitEffect,
     blahut_arimoto,
     density_from_params,
     fixed_measurement_capacity,
@@ -19,7 +18,6 @@ from chancap.capacity import (
     povm_elements_from_params,
     pure_states_from_params,
     qubit_grid_oracle,
-    qubit_povm_effects,
     shannon_capacity,
 )
 from chancap.channels import (
@@ -341,21 +339,55 @@ class TestParametrisations:
         assert OptimizerConfig(restarts=1, max_iters=0).max_iters == 0
 
 
-class TestQubitEffect:
-    def test_round_trip(self):
+def _pure_states_loop(x, dim, n):
+    """``pure_states_from_params`` one state at a time, as it was computed before the stacks."""
+    out = []
+    for j in range(n):
+        if dim == 2:
+            theta, phi = x[2 * j], x[2 * j + 1]
+            v = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+        else:
+            chunk = x[2 * dim * j:2 * dim * (j + 1)]
+            v = chunk[:dim] + 1j * chunk[dim:]
+            norm = np.linalg.norm(v)
+            if norm < 1e-12:
+                v, norm = np.eye(dim, dtype=complex)[0], 1.0
+            v = v / norm
+        out.append(np.outer(v, v.conj()))
+    return np.stack(out)
+
+
+class TestBlochFormat:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_states_equal_per_state_loop(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for k in range(60):
+            n = 1 + k % 5
+            x = rng.normal(scale=[1e-3, 1.5, 40.0][k % 3], size=n_state_params(dim, n))
+            if k % 4 == 0:
+                x[: n_state_params(dim, 1)] = 0.0  # a zero chunk: e_0 on a qudit, |0> on a qubit
+            if k % 4 == 1 and dim > 2:
+                x[-2 * dim:] *= 1e-13
+            np.testing.assert_array_equal(pure_states_from_params(x, dim, n), _pure_states_loop(x, dim, n))
+
+    def test_pauli_form_round_trip(self):
         m = random_povm(2, 3, np.random.default_rng(4))
-        for e in m.elements:
-            eff = QubitEffect.from_matrix(e)
-            np.testing.assert_allclose(eff.to_matrix(), e, atol=1e-10)
+        e0, e = cap._pauli_form(np.stack(m.elements))
+        rebuilt = e0[:, None, None] * np.eye(2) + np.einsum("mk,kab->mab", e, np.stack(cap.PAULI))
+        np.testing.assert_allclose(rebuilt, np.stack(m.elements), atol=1e-10)
+        assert abs(e0.sum() - 1.0) < 1e-12 and np.linalg.norm(e.sum(axis=0)) < 1e-12  # completeness
+        assert np.all(np.linalg.norm(e, axis=1) <= np.minimum(e0, 1.0 - e0) + 1e-12)  # 0 <= E <= I
 
-    def test_feasibility_enforced(self):
-        with pytest.raises(InvariantViolation):
-            QubitEffect(0.2, np.array([0.5, 0.0, 0.0]))
-
-    def test_povm_summary_checks_completeness(self):
-        effs = qubit_povm_effects(basis_povm(2))
-        assert abs(sum(e.weight for e in effs) - 1.0) < 1e-12
-        assert np.linalg.norm(sum(e.bloch for e in effs)) < 1e-12
+    def test_bloch_state_stack_matches_vectors(self):
+        bloch = np.random.default_rng(5).normal(size=(6, 3))
+        bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
+        states = cap._bloch_state(bloch)
+        np.testing.assert_array_equal(states, np.stack([cap._bloch_state(n) for n in bloch]))
+        e0, e = cap._pauli_form(states)
+        np.testing.assert_allclose(e0, 0.5, atol=1e-15)
+        np.testing.assert_allclose(2.0 * e, bloch, atol=1e-15)
+        angles = np.array([cap._bloch_angles(n) for n in bloch]).ravel()
+        np.testing.assert_allclose(cap._bloch_of_angles(angles)[0], bloch, atol=1e-15)
 
 
 class TestShannonCapacity:

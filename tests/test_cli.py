@@ -132,6 +132,11 @@ class TestAdditivityCommand:
         assert code == EXIT_OK
         assert abs(result_value(report, "capacity_sum")) < 1e-5
 
+    def test_depth_two_rejects_a_third_file(self, capsys, identity_spec, noisy_spec):
+        code = main(["additivity", identity_spec, noisy_spec, identity_spec] + FAST)
+        assert code == EXIT_USAGE
+        assert "one or two channel files" in capsys.readouterr().err
+
     def test_depth_three(self, capsys, tmp_path):
         spec = tmp_path / "bf.json"
         spec.write_text('{"kind": "bit-flip", "p": 0.1}')
@@ -164,11 +169,29 @@ class TestSweepCommand:
         header = open(out).readline().strip().split(",")
         assert header == ["param", "shannon", "holevo", "uep", "holevo_minus_shannon", "strict_gap"]
 
-    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf", "1e-15"])
     def test_bad_step_rejected_before_the_loop(self, capsys, step):
         code = main(["sweep", "--family", "bit-flip", "--step", step] + FAST)
         assert code == EXIT_USAGE
         assert "--step" in capsys.readouterr().err
+
+    def test_step_below_rounding_gives_one_point(self, capsys):
+        # 0.5 + 1e-17 == 0.5: adding the step to the point would never pass the stop
+        code, report = run(
+            capsys,
+            ["sweep", "--family", "bit-flip", "--start", "0.5", "--stop", "0.5",
+             "--step", "1e-17", "--which", "shannon"] + FAST,
+        )
+        assert code == EXIT_OK
+        assert [row["param"] for row in result_value(report, "rows")] == [0.5]
+
+    def test_stop_within_rounding_is_kept(self, capsys):
+        _, report = run(
+            capsys,
+            ["sweep", "--family", "bit-flip", "--start", "0.7", "--stop", "1.0",
+             "--step", "0.1", "--which", "shannon", "--max-iters", "0"],
+        )
+        assert [row["param"] for row in result_value(report, "rows")] == [0.7, 0.8, 0.9, 1.0]
 
     def test_non_finite_range_rejected(self, capsys):
         assert main(["sweep", "--family", "bit-flip", "--stop", "inf"] + FAST) == EXIT_USAGE
