@@ -30,10 +30,11 @@ from .capacity import (
     _block_ascent,
     _block_weights,
     _kernel,
-    _mi_fixed_weights,
+    _mi_and_grad,
     _pauli_form,
+    _signal_information,
 )
-from .channels import Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
+from .channels import PAULI, Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
 from .errors import DimensionMismatchError, InvariantViolation
 from .information import Ensemble, PROB_FLOOR, mutual_information
 from .linalg import ATOL_COMPLETENESS, hermitize, partial_trace, tensor, tensor_pairs
@@ -224,6 +225,77 @@ def _strategy_from_params(x: np.ndarray, depth: int) -> AdaptiveStrategy:
     return AdaptiveStrategy(depth, {p: projective_povm(n) for p, n in zip(_stage_prefixes(depth), directions)})
 
 
+def _require_qubit_outputs(channels: list[QuantumChannel]) -> None:
+    dims = [ch.dim_out for ch in channels]
+    if any(d != 2 for d in dims):
+        raise DimensionMismatchError(f"conditional strategies measure qubit outputs, got output dimensions {dims}")
+
+
+def _stage_operators(channels: list[QuantumChannel]) -> np.ndarray:
+    """Products over the copies of (I, sigma_x, sigma_y, sigma_z), each pulled back through its copy.
+
+    Rows, first copy major.
+    """
+    paulis = np.stack((np.eye(2, dtype=complex),) + PAULI)
+    ops = np.ones((1, 1, 1), dtype=complex)
+    for ch in channels:
+        ops = tensor_pairs(ops, dual_apply(ch, paulis))
+    return ops.reshape(len(ops), -1)
+
+
+def _path_products(directions: np.ndarray, moments: np.ndarray):
+    """Outcome-string values of a tree of projective qubit stages, and their pull-back.
+
+    Stage node P (rows of ``directions``, in ``_stage_prefixes`` order)
+    measures (I +- n_P . sigma) / 2, whose Pauli coordinates are
+    m = (1, +-n_P) / 2 for outcomes 0 and 1.  For each row of ``moments``,
+    given against the products of Pauli coordinates (first stage major), the
+    result holds sum_alpha moments[alpha] prod_k m_k(b)[alpha_k] for every
+    outcome string b in lexicographic order: one contraction per level, by
+    the product rule.  The pull-back takes a gradient in the result to the
+    gradient in the directions (rows).
+    """
+    n, depth = len(moments), (len(directions) + 1).bit_length() - 1
+    signs = np.array([1.0, -1.0])[None, :, None]
+    levels, inputs, r = [], [], moments
+    for k in range(depth):
+        nodes = directions[2 ** k - 1: 2 ** (k + 1) - 1, None, :]
+        levels.append(0.5 * np.concatenate([np.ones((2 ** k, 2, 1)), signs * nodes], axis=2))
+        inputs.append(r.reshape(n, 2 ** k, 4, -1))  # (state, prefix, this stage's coordinate, later ones)
+        r = levels[-1] @ inputs[-1]
+
+    def pull_back(g):
+        g, grads = g.reshape(r.shape), []
+        for k in reversed(range(depth)):
+            grads.append((g @ inputs[k].swapaxes(2, 3)).sum(axis=0))
+            if k:
+                g = (levels[k].swapaxes(1, 2) @ g).reshape(n, 2 ** (k - 1), 2, -1)
+        return 0.5 * np.concatenate([m[:, 0, 1:] - m[:, 1, 1:] for m in reversed(grads)])
+
+    return r.reshape(n, -1), pull_back
+
+
+def _pauli_moments(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re Tr(rho_j O_alpha) of a state stack against the ``_stage_operators`` rows."""
+    return (states.reshape(len(states), -1).conj() @ ops.T).real
+
+
+def _stage_effects(directions: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The pulled-back flattened effects (rows) of the projective stages along ``directions``."""
+    return _path_products(directions, np.eye(len(ops)))[0].T @ ops
+
+
+def _strategy_information(weights: np.ndarray, moments: np.ndarray):
+    """Stage angles -> mutual information at fixed weights of the states with these Pauli moments."""
+    def objective(xm):
+        directions, angles_back = _bloch_of_angles(xm)
+        kern, kern_back = _path_products(directions, moments)
+        info, g = _mi_and_grad(weights, np.maximum(kern, 0.0))
+        return info, angles_back(kern_back(g))
+
+    return objective
+
+
 def best_conditional_information(
     channels: list[QuantumChannel],
     cfg: OptimizerConfig,
@@ -233,35 +305,37 @@ def best_conditional_information(
     """Local search over joint input ensembles and projective adaptive strategies.
 
     Ensembles hold up to ``cfg.ensemble_size_cap`` pure states on the product
-    space; stages are two-outcome projective measurements.  Weights come from
-    the exact weight solve on the flattened kernel.  The value is a feasible lower
-    bound on the conditional-measurement supremum.
+    space; stages are two-outcome projective measurements of each copy's
+    qubit output.  Weights come from the exact weight solve on the flattened
+    kernel.  The value is a feasible lower bound on the conditional-measurement
+    supremum.
     """
+    _require_qubit_outputs(channels)
     depth = len(channels)
     dim_total = int(np.prod([c.dim_in for c in channels]))
     n_states = max(cfg.ensemble_size_cap, 2)
     ns = n_state_params(dim_total, n_states)
     nm = _strategy_param_count(depth)
+    ops = _stage_operators(channels)
 
-    def effects_of(xm):
-        strat = _strategy_from_params(xm, depth)
-        flat = flatten(dual_conditional(channels, strat))
-        return np.stack(flat.elements), strat
+    def moments_of(xs):
+        return _pauli_moments(pure_states_from_params(xs, dim_total, n_states), ops)
+
+    def kernel(xs, xm):
+        return np.maximum(_path_products(_bloch_of_angles(xm)[0], moments_of(xs))[0], 0.0)
 
     last = {"w": None}  # weights of the last value call, held fixed inside both blocks of a sweep
 
     def value(xs, xm):
-        kern = _kernel(pure_states_from_params(xs, dim_total, n_states), effects_of(xm)[0])
-        c, last["w"] = blahut_arimoto(kern, tol=1e-9, max_iters=250)
+        c, last["w"] = blahut_arimoto(kernel(xs, xm), tol=1e-9, max_iters=250)
         return c
 
     def state_block(_, xm):
-        w, effects = _block_weights(last["w"]), effects_of(xm)[0]
-        return (lambda v: _mi_fixed_weights(w, _kernel(pure_states_from_params(v, dim_total, n_states), effects))), False
+        effects = _stage_effects(_bloch_of_angles(xm)[0], ops)
+        return _signal_information(_block_weights(last["w"]), effects, dim_total, n_states)
 
     def strategy_block(xs, _):
-        w, states = _block_weights(last["w"]), pure_states_from_params(xs, dim_total, n_states)
-        return (lambda v: _mi_fixed_weights(w, _kernel(states, effects_of(v)[0]))), False
+        return _strategy_information(_block_weights(last["w"]), moments_of(xs))
 
     def run(restart, rng):
         if restart == 0 and init_strategy is not None:
@@ -282,14 +356,12 @@ def best_conditional_information(
 
         (xs, xm), _, _ = _block_ascent([xs, xm], value, [state_block, strategy_block], cfg, maxfev_per_param=50)
 
-        effects, strat = effects_of(xm)
-        states = pure_states_from_params(xs, dim_total, n_states)
-        c, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000)
-        return c, (Ensemble(weights, tuple(states)), strat)
+        c, weights = blahut_arimoto(kernel(xs, xm), tol=1e-10, max_iters=3000)
+        return c, (Ensemble(weights, tuple(pure_states_from_params(xs, dim_total, n_states))), xm)
 
-    _, (ens, strat), _ = _best_restart(run, cfg)
-    flat = flatten(dual_conditional(channels, strat))
-    exact = mutual_information(ens, flat)
+    _, (ens, xm), _ = _best_restart(run, cfg)
+    strat = _strategy_from_params(xm, depth)
+    exact = mutual_information(ens, flatten(dual_conditional(channels, strat)))
     return exact, ens, strat
 
 
@@ -364,8 +436,10 @@ def additivity_experiment(
     conditional-measurement value found (seeded with the product solution so
     the search starts at the additivity point), and the product-strategy
     value.  The conditional best cannot exceed the capacity sum beyond
-    optimizer noise; the product value cannot fall below it.
+    optimizer noise; the product value cannot fall below it.  Both channels
+    must have qubit outputs, which the conditional stages measure.
     """
+    _require_qubit_outputs([ch1, ch2])
     r1 = shannon_capacity(ch1, cfg)
     r2 = shannon_capacity(ch2, cfg)
     product_value = product_strategy_value(ch1, ch2, r1, r2)

@@ -8,18 +8,15 @@ number is the exact objective value at the returned ensemble / POVM / state,
 so re-evaluating the objective at the argmax reproduces it.  A deterministic
 Bloch-grid brute force provides an independent cross-check for qubit channels.
 
-On a qubit side the block objectives work in Bloch coordinates: a qubit
-channel is the affine map n -> T n + t on Bloch vectors, signal states are
-Bloch vectors, effects are Pauli forms E = e0 I + e . sigma, and every
-objective is a few operations on real 3-vectors.  These evaluate the same
-numbers as the matrix route from the same parameters, together with their
-closed-form gradients (pulled back to the parameters in reverse mode), so
-L-BFGS-B takes those gradients as given.  Blocks without such a gradient
-keep the matrix route, where L-BFGS-B takes its gradients by finite
-differences, and the final exact re-evaluation always takes the matrix route.  The Shannon and
-measured-input searches solve all their parameters in one block per sweep.
-L-BFGS-B stops at once when started exactly at a stationary point, such as
-equatorial signals under a z-basis readout; the other restarts cover that case.
+The signals, the POVM and the measured-input state are smooth maps of
+unconstrained parameters, at every dimension: Bloch angles or normalised
+vectors for pure signals, the polar factor of a complex matrix for the POVM,
+and a a^dag for the input.  Each block objective returns its value with the
+gradient pulled back through these maps in reverse mode, and every block is
+one L-BFGS-B solve on that gradient.  The Shannon and measured-input
+searches solve all their parameters in one block per sweep.  L-BFGS-B stops
+at once when started exactly at a stationary point, such as equatorial
+signals under a z-basis readout; the other restarts cover that case.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ import numpy as np
 from .channels import PAULI, Povm, QuantumChannel, measured_channel
 from .errors import DimensionMismatchError, InvariantViolation
 from .information import (
+    PROB_FLOOR,
     Ensemble,
     channel_mutual_information,
     holevo_information,
@@ -38,6 +36,10 @@ from .information import (
     mutual_information,
 )
 from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_slope, frozen
+
+
+# Largest ensemble or POVM size cap: d^2 at the largest total dimension, 16.
+_MAX_SIZE_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,10 @@ class OptimizerConfig:
             raise InvariantViolation(f"tol must be positive and finite, got {self.tol}")
         if self.seed < 0:
             raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
-        if self.ensemble_size_cap < 2 or self.povm_size_cap < 2:
-            raise InvariantViolation("size caps must be at least 2")
+        if not (2 <= self.ensemble_size_cap <= _MAX_SIZE_CAP and 2 <= self.povm_size_cap <= _MAX_SIZE_CAP):
+            raise InvariantViolation(
+                f"size caps must lie in [2, {_MAX_SIZE_CAP}], got {self.ensemble_size_cap} and {self.povm_size_cap}"
+            )
 
 
 @dataclass(frozen=True)
@@ -232,6 +236,58 @@ def _binary_capacity(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
 # ---------------------------------------------------------------------------
 # Parametrisations (feasible by construction)
 # ---------------------------------------------------------------------------
+#
+# Each ``*_from_params`` map builds on a private helper that returns, from the
+# same parameters, the unit vectors or the matrix the map is made of, with
+# their pull-back: a callable taking a gradient g in them (dL = Re sum
+# conj(g) dz) to the gradient in the parameters (a vector-Jacobian product).
+# Where a helper takes a fallback (degenerate parameters) its pull-back
+# returns zeros, so L-BFGS-B stops there.
+
+def _complex_params(z: np.ndarray) -> np.ndarray:
+    """Parameters (real parts, then imaginary parts) of a complex matrix."""
+    z = np.asarray(z, dtype=complex)
+    return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+
+def _unit_rows(u: np.ndarray, norms: np.ndarray, fallback: np.ndarray):
+    """The rows of ``u`` over their ``norms`` (rows of norm below 1e-12 become ``fallback``), and their pull-back."""
+    small = norms < 1e-12
+    u[small], norms[small] = fallback, 1.0
+    v = u / norms[:, None]
+
+    def pull_back(g):  # the radial part of g does not move v
+        g = (g - (v.conj() * g).real.sum(axis=1, keepdims=True) * v) / norms[:, None]
+        g[small] = 0.0
+        return g
+
+    return v, pull_back
+
+
+def _signal_vectors(x: np.ndarray, dim: int, n: int):
+    """Unit vectors (rows) of the states ``pure_states_from_params(x, dim, n)``, and their pull-back."""
+    x = np.asarray(x, dtype=float)
+    if dim == 2:
+        theta, phi = x[0:2 * n:2], x[1:2 * n:2]
+        c, s, phase = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+        v = np.stack([c, phase * s], axis=1)
+
+        def pull_back(g):  # d/dtheta and d/dphi of each state, interleaved
+            turned = g[:, 1].conj() * phase
+            return np.column_stack([0.5 * (c * turned.real - s * g[:, 0].real), -s * turned.imag]).ravel()
+
+        return v, pull_back
+    chunks = x[: 2 * dim * n].reshape(n, 2, dim)
+    u = chunks[:, 0] + 1j * chunks[:, 1]
+    norms = np.array([np.linalg.norm(w) for w in u])  # norm(u, axis=1) sums in another order
+    v, unit_back = _unit_rows(u, norms, np.eye(dim)[0])
+
+    def pull_back(g):
+        g = unit_back(g)
+        return np.stack([g.real, g.imag], axis=1).ravel()
+
+    return v, pull_back
+
 
 def pure_states_from_params(x: np.ndarray, dim: int, n: int) -> np.ndarray:
     """Stack of n pure density matrices from unconstrained real parameters.
@@ -240,80 +296,111 @@ def pure_states_from_params(x: np.ndarray, dim: int, n: int) -> np.ndarray:
     reals per state interpreted as a complex vector and normalised (a vector
     of norm below 1e-12 gives e_0).
     """
-    x = np.asarray(x, dtype=float)
-    if dim == 2:
-        theta, phi = x[0:2 * n:2], x[1:2 * n:2]
-        v = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
-    else:
-        chunks = x[: 2 * dim * n].reshape(n, 2, dim)
-        v = chunks[:, 0] + 1j * chunks[:, 1]
-        norms = np.array([np.linalg.norm(u) for u in v])  # norm(v, axis=1) sums in another order
-        small = norms < 1e-12
-        v[small], norms[small] = np.eye(dim)[0], 1.0
-        v = v / norms[:, None]
-    return v[:, :, None] * v.conj()[:, None, :]
+    return _rank_one(_signal_vectors(x, dim, n)[0])
 
 
 def n_state_params(dim: int, n: int) -> int:
     return 2 * n if dim == 2 else 2 * dim * n
 
 
+def _polar_rows(x: np.ndarray, dim: int, n_out: int):
+    """Rows of the polar factor of the complex (n_out x dim) parameter matrix g, and their pull-back.
+
+    The polar factor g (g^dag g)^(-1/2) = W Z^dag, from one SVD
+    g = W diag(s) Z^dag, has orthonormal columns and maps a g with
+    orthonormal columns to itself.  The pull-back chains V = g P with
+    P = Z diag(1/s) Z^dag, through the Daleckii-Krein divided differences of
+    t^(-1/2) at the eigenvalues s^2 of g^dag g, -1 / (s_i s_j (s_i + s_j)).
+    A singular g (s_min <= 1e-12 s_max) keeps W Z^dag, still an isometry,
+    and a non-finite one gives the first rows of I; neither pulls back
+    anything.
+    """
+    x = np.asarray(x, dtype=float)
+    m = n_out * dim
+    g = (x[:m] + 1j * x[m:2 * m]).reshape(n_out, dim)
+    if not np.isfinite(g).all():
+        return np.eye(n_out, dim), lambda grad: np.zeros(2 * m)
+    w, s, zh = np.linalg.svd(g, full_matrices=False)
+    rows = w @ zh
+    if not s[-1] > 1e-12 * s[0]:
+        return rows, lambda grad: np.zeros(2 * m)
+
+    def pull_back(grad):
+        y = zh @ grad.conj().T @ w
+        inner = (y + s[:, None] * y.conj().T / s) / (s[:, None] + s)
+        return _complex_params((grad @ zh.conj().T / s - w @ inner) @ zh)
+
+    return rows, pull_back
+
+
 def povm_elements_from_params(x: np.ndarray, dim: int, n_out: int) -> np.ndarray:
     """Stack of n_out rank-1 POVM elements, complete by construction.
 
-    The parameters fill a complex (n_out x dim) matrix whose orthonormalised
-    columns make an isometry; its rows give element vectors, so completeness
-    and 0 <= E <= I hold exactly for every parameter value.
+    The parameters fill a complex (n_out x dim) matrix whose polar factor is
+    an isometry; its rows v_b give the elements conj(v_b) v_b^T, so
+    completeness and 0 <= E <= I hold exactly for every parameter value.
     """
-    x = np.asarray(x, dtype=float)
-    g = (x[: n_out * dim] + 1j * x[n_out * dim:]).reshape(n_out, dim)
-    q, r = np.linalg.qr(g, mode="reduced")
-    d = np.diagonal(r)
-    q = q * np.where(np.abs(d) > 0, np.sign(d), 1.0)  # gauge fix: orthonormal g maps to itself
-    elems = np.einsum("bi,bj->bij", q.conj(), q)
-    return elems
+    return _rank_one(_polar_rows(x, dim, n_out)[0].conj())
 
 
 def n_povm_params(dim: int, n_out: int) -> int:
     return 2 * n_out * dim
 
 
-def _povm_params_from_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=complex)
-    return np.concatenate([rows.real.ravel(), rows.imag.ravel()])
+def _density_factor(x: np.ndarray, dim: int):
+    """The complex (dim x dim) parameter matrix scaled to unit norm, a, and its pull-back.
+
+    rho = a a^dag; a matrix of norm below 1e-12 gives a = I / sqrt(dim).
+    """
+    x = np.asarray(x, dtype=float)
+    m = dim * dim
+    u = (x[:m] + 1j * x[m:2 * m])[None]
+    a, pull_back = _unit_rows(u, np.array([np.linalg.norm(u)]), np.eye(dim).ravel() / np.sqrt(dim))
+    return a.reshape(dim, dim), lambda g: _complex_params(pull_back(g.reshape(1, m)))
 
 
 def density_from_params(x: np.ndarray, dim: int) -> np.ndarray:
-    """Full-rank density matrix from eigenvalue logits and unitary parameters."""
-    x = np.asarray(x, dtype=float)
-    logits = x[:dim]
-    z = np.exp(logits - logits.max())
-    lam = z / z.sum()
-    g = (x[dim: dim + dim * dim] + 1j * x[dim + dim * dim:]).reshape(dim, dim)
-    if np.linalg.norm(g) < 1e-9:
-        g = np.eye(dim, dtype=complex)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * np.where(np.abs(d) > 0, np.sign(d), 1.0)
-    return (q * lam) @ q.conj().T
+    """Density matrix a a^dag of a complex (dim x dim) parameter matrix a scaled to unit norm."""
+    a = _density_factor(x, dim)[0]
+    return a @ a.conj().T
 
 
 def n_density_params(dim: int) -> int:
-    return dim + 2 * dim * dim
+    return 2 * dim * dim
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery
+# Block objectives: values with their gradients
 # ---------------------------------------------------------------------------
+#
+# The channel enters as its dual matrix D: vec(dual(E)) = vec(E) D and
+# vec(ch(rho)) = vec(rho) D^dag for row-major vec, so a gradient G in the
+# pulled-back effects is G D^dag in the effects, and one in the outputs is
+# G D in the inputs.  Each objective returns (value, gradient in its
+# parameters); the reported values come from ``chancap.information`` at the
+# returned point.
 
-def _dual_effect_stack(ch: QuantumChannel, elements: np.ndarray) -> np.ndarray:
+def _dual_matrix(ch: QuantumChannel) -> np.ndarray:
+    """(d_out^2, d_in^2) matrix D with vec(dual(E)) = vec(E) D."""
     kr = np.stack(ch.kraus)
-    return np.einsum("kxa,mxy,kyb->mab", kr.conj(), np.asarray(elements), kr)
+    return np.einsum("kxa,kyb->xyab", kr.conj(), kr).reshape(ch.dim_out ** 2, ch.dim_in ** 2)
+
+
+def _rank_one(u: np.ndarray) -> np.ndarray:
+    """Stack of u_j u_j^dag for the rows u_j."""
+    return u[:, :, None] * u.conj()[:, None, :]
+
+
+def _rank_one_pull(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gradient in the rows u_j of sum_j Re Tr(gamma_j u_j u_j^dag), for Hermitian gamma_j (a stack or its rows)."""
+    d = u.shape[1]
+    return 2.0 * (np.reshape(gamma, (len(u), d, d)) @ u[:, :, None])[:, :, 0]
 
 
 def _kernel(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    k = np.einsum("jab,mba->jm", states, effects).real
-    return np.clip(k, 0.0, None)
+    """Tr(rho_j E_b), clipped at 0, of Hermitian (n, d, d) stacks or their (n, d^2) rows."""
+    s, e = np.reshape(states, (len(states), -1)), np.reshape(effects, (len(effects), -1))
+    return np.maximum((s.conj() @ e.T).real, 0.0)
 
 
 def _mi_and_grad(weights: np.ndarray, kernel: np.ndarray) -> tuple[float, np.ndarray]:
@@ -329,24 +416,98 @@ def _mi_and_grad(weights: np.ndarray, kernel: np.ndarray) -> tuple[float, np.nda
     return value, np.where(kernel > 0.0, weights[:, None] * log_ratio, 0.0)
 
 
-def _mi_fixed_weights(weights: np.ndarray, kernel: np.ndarray) -> float:
-    """Mutual information of the joint weights x kernel, weights held fixed."""
-    return _mi_and_grad(weights, kernel)[0]
+def _signal_information(weights: np.ndarray, effects: np.ndarray, dim: int, n: int):
+    """Signal parameters -> mutual information against fixed effects (rows, on the signal space) at fixed weights."""
+    def objective(xs):
+        vecs, pull_back = _signal_vectors(xs, dim, n)
+        value, g = _mi_and_grad(weights, _kernel(_rank_one(vecs), effects))
+        return value, pull_back(_rank_one_pull(g @ effects, vecs))
+
+    return objective
+
+
+def _shannon_objective(dual: np.ndarray, weights: np.ndarray, dims: tuple[int, int], n_states: int, n_out: int):
+    """Signal then POVM parameters -> mutual information at fixed weights, the POVM pulled back by ``dual``."""
+    din, dout = dims
+    ns, channel = n_state_params(din, n_states), dual.conj().T
+
+    def objective(v):
+        vecs, states_back = _signal_vectors(v[:ns], din, n_states)
+        rows, rows_back = _polar_rows(v[ns:], dout, n_out)
+        states = _rank_one(vecs).reshape(n_states, -1)
+        effects = _rank_one(rows.conj()).reshape(n_out, -1) @ dual
+        value, g = _mi_and_grad(weights, _kernel(states, effects))
+        g_elements = (g.T @ states) @ channel
+        g_rows = _rank_one_pull(g_elements.conj(), rows)  # E_b = conj(v_b) v_b^T
+        return value, np.concatenate([states_back(_rank_one_pull(g @ effects, vecs)), rows_back(g_rows)])
+
+    return objective
+
+
+def _holevo_objective(dual: np.ndarray, weights: np.ndarray, dims: tuple[int, int], n: int):
+    """Signal parameters -> chi = S(sum_j w_j rho_j) - sum_j w_j S(rho_j) of the outputs at fixed weights.
+
+    The gradient in output j is w_j (log2 rho_j - log2 rhobar), each log taken
+    on its support: one ``eigh`` of the stack (rhobar, rho_1, ...).
+    """
+    din, dout = dims
+    channel = dual.conj().T
+
+    def objective(xs):
+        vecs, pull_back = _signal_vectors(xs, din, n)
+        outs = _rank_one(vecs).reshape(n, -1) @ channel
+        lam, vec = np.linalg.eigh(np.vstack([weights @ outs, outs]).reshape(n + 1, dout, dout))
+        ent, slope = _eig_entropy(lam), _eig_entropy_slope(lam)
+        slope[0] *= -1.0  # dS/dlam = -slope: chi gains S(rhobar) and loses each S(rho_j)
+        grads = ((vec * slope[:, None, :]) @ vec.conj().swapaxes(1, 2)).reshape(n + 1, -1)
+        g_outs = weights[:, None] * (grads[0] + grads[1:])
+        return float(ent[0] - weights @ ent[1:]), pull_back(_rank_one_pull(g_outs @ dual, vecs))
+
+    return objective
+
+
+def _measured_input_objective(dual: np.ndarray, dims: tuple[int, int], n_out: int):
+    """Input then POVM parameters -> measured-input information.
+
+    With rho = a a^dag, sqrt(rho) dual(E_b) sqrt(rho) has the nonzero
+    spectrum of B_b = a^dag dual(E_b) a, and rho that of C = a^dag a, so the
+    value S(C) - sum_b S(B_b) + H(tau), tau_b = Tr B_b, takes one ``eigh`` of
+    the stack (C, B_1, ...), whose eigenvectors also give each term's
+    gradient.  Outcomes with tau_b at or below the probability floor add no
+    block entropy, as in ``measured_input_information``.
+    """
+    din, dout = dims
+    nr, channel, eye = n_density_params(din), dual.conj().T, np.eye(din)[None]
+
+    def objective(v):
+        a, a_back = _density_factor(v[:nr], din)
+        rows, rows_back = _polar_rows(v[nr:], dout, n_out)
+        ops = np.concatenate([eye, (_rank_one(rows.conj()).reshape(n_out, -1) @ dual).reshape(n_out, din, din)])
+        lam, vec = np.linalg.eigh(a.conj().T @ ops @ a)
+        tau = np.maximum(lam[1:].sum(axis=1), 0.0)
+        live = tau > PROB_FLOOR
+        ent, slope = _eig_entropy(lam), _eig_entropy_slope(lam)
+        value = float(ent[0] - ent[1:][live].sum() + _eig_entropy(tau))
+        slope[0] *= -1.0
+        slope[1:] = slope[1:] * live[:, None] - _eig_entropy_slope(tau)[:, None]  # H(tau) adds -slope(tau_b) I
+        grads = (vec * slope[:, None, :]) @ vec.conj().swapaxes(1, 2)  # in C, then each B_b
+        g_a = 2.0 * (ops @ a @ grads).sum(axis=0)
+        g_elements = (a @ grads[1:] @ a.conj().T).reshape(n_out, -1) @ channel
+        return value, np.concatenate([a_back(g_a), rows_back(_rank_one_pull(g_elements.conj(), rows))])
+
+    return objective
 
 
 # ---------------------------------------------------------------------------
-# Qubit objectives in Bloch coordinates
+# The qubit Bloch/Pauli format
 # ---------------------------------------------------------------------------
 #
 # A qubit state is rho = (I + n . sigma) / 2 and an effect E = e0 I + e . sigma,
 # so Tr(rho E) = e0 + n . e.  ``_pauli_form``, ``_bloch_state``, ``_bloch_angles``
 # and ``_bloch_of_angles`` are the package's only conversions between Bloch
 # angles, Bloch vectors, Pauli forms and 2x2 matrices, apart from the POVM
-# constructors in ``channels``.  Each parametrisation helper returns, from the
-# same parameters, the Bloch or Pauli form of the matrix its ``*_from_params``
-# counterpart builds, with its pull-back: a callable taking a gradient in that
-# form to the gradient in the parameters (a vector-Jacobian product).  Where a
-# helper takes the matrix route (degenerate parameters) its pull-back returns zeros.
+# constructors in ``channels``.  The grid oracle, the coarse scan, the
+# estimators' qubit inits, the adaptive stages and the CLI use them.
 
 _PAULI_STACK = np.stack(PAULI)
 
@@ -385,226 +546,11 @@ def _bloch_of_angles(x: np.ndarray):
     return out, pull_back
 
 
-def _bloch_kernel(bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``_kernel`` of the states with these Bloch vectors and the effects in Pauli form."""
-    e0, e = effects
-    return np.maximum(e0 + bloch @ e.T, 0.0)
+# ---------------------------------------------------------------------------
+# Local search
+# ---------------------------------------------------------------------------
 
-
-def _povm_pauli_from_params(x: np.ndarray, n_out: int):
-    """Pauli form (e0, e) of ``povm_elements_from_params(x, 2, n_out)``, and its pull-back.
-
-    The gauge-fixed QR of the two-column matrix g is Gram-Schmidt on its
-    columns a and b, and the pull-back of a gradient with rows (e0, e) runs
-    it in reverse, with complex cotangents z_bar = dL/dRe z + i dL/dIm z.
-    Where a column vanishes or the columns are (nearly) parallel, the basis
-    is QR's own, so the elements come from the matrix route; so they do for
-    column norms far from 1, where the squares below would leave the
-    floating-point range.
-    """
-    m = 2 * n_out
-    g = np.empty(m, dtype=complex)
-    g.real, g.imag = x[:m], x[m:]
-    a, b = g[0::2], g[1::2]  # the columns of g
-    aa, bb = np.vdot(a, a).real, np.vdot(b, b).real
-    if 1e-150 < aa < 1e150 and bb < 1e150:
-        ab = np.vdot(a, b)
-        u = b - (ab / aa) * a
-        uu = np.vdot(u, u).real
-        if uu > max(1e-12 * bb, 1e-150):
-            ac = a.conj()
-            p0, p1 = (ac * a).real / aa, (u.conj() * u).real / uu
-            root = np.sqrt(aa * uu)
-            off = ac * u / root  # element (0, 1) of each E_b
-            w = np.column_stack([off.real, -off.imag, 0.5 * (p0 - p1)])
-
-            def pull_back(grad):
-                p0_bar, p1_bar = 0.5 * (grad[:, 0] + grad[:, 3]), 0.5 * (grad[:, 0] - grad[:, 3])
-                off_bar = grad[:, 1] - 1j * grad[:, 2]
-                # back through off = conj(a) u / sqrt(aa uu), p0 = |a|^2 / aa, p1 = |u|^2 / uu,
-                # uu = <u, u>, u = b - (ab / aa) a, ab = <a, b> and aa = <a, a>
-                shrink = -0.5 * np.vdot(off_bar, off).real
-                u_bar = a * off_bar / root + (2.0 / uu) * (p1_bar + shrink - p1_bar @ p1) * u
-                ab_bar = -np.vdot(a, u_bar) / aa
-                aa_bar = (shrink - p0_bar @ p0 - (np.conj(ab_bar) * ab).real) / aa
-                g_bar = np.empty(m, dtype=complex)
-                g_bar[0::2] = u * off_bar.conj() / root - np.conj(ab / aa) * u_bar + np.conj(ab_bar) * b
-                g_bar[0::2] += 2.0 * (p0_bar / aa + aa_bar) * a
-                g_bar[1::2] = u_bar + ab_bar * a
-                return np.concatenate([g_bar.real, g_bar.imag])
-
-            return (0.5 * (p0 + p1), w), pull_back
-    return _pauli_form(povm_elements_from_params(x, 2, n_out)), lambda grad: np.zeros(len(x))
-
-
-def _density_bloch_from_params(x: np.ndarray):
-    """Eigenvalues and Bloch vector of ``density_from_params(x, 2)``, and their pull-back.
-
-    rho = lam_1 I + (lam_0 - lam_1) q q^dag with q the first column of the
-    gauge-fixed QR of g, i.e. g's first column normalised.  The pull-back
-    takes a gradient in (lam_0, lam_1, n).  A vanishing g or first column
-    leaves q to QR, so rho then comes from the matrix route.
-    """
-    logits = x[:2]
-    z = np.exp(logits - logits.max())
-    lam = z / z.sum()
-    if np.sqrt(x[2:] @ x[2:]) < 1e-9:  # density_from_params takes g = I
-        return (lam, np.array([0.0, 0.0, lam[0] - lam[1]])), lambda grad: np.zeros(10)
-    pqrs = x[[2, 6, 4, 8]]  # g[:, 0] = (p + iq, r + is)
-    p, q, r, s = pqrs
-    norm2 = p * p + q * q + r * r + s * s
-    if 1e-300 < norm2 < 1e300:
-        v = np.array([2.0 * (p * r + q * s), 2.0 * (p * s - q * r), p * p + q * q - r * r - s * s])
-        scale = (lam[0] - lam[1]) / norm2
-
-        def pull_back(grad):
-            along = 2.0 * (grad[2:] @ v) / norm2
-            dv = 2.0 * np.array([[r, s, p], [s, -r, q], [p, -q, -r], [q, p, -s]])  # dv / d(p, q, r, s)
-            out = np.zeros(10)
-            # d lam_0 / d logits = -d lam_1 / d logits = lam_0 lam_1 (1, -1)
-            out[:2] = lam[0] * lam[1] * (grad[0] - grad[1] + along) * np.array([1.0, -1.0])
-            out[[2, 6, 4, 8]] = scale * (dv @ grad[2:] - along * pqrs)
-            return out
-
-        return (lam, scale * v), pull_back
-    return (lam, 2.0 * _pauli_form(density_from_params(x, 2))[1]), lambda grad: np.zeros(10)
-
-
-def _measured_input_bloch(rho: tuple[np.ndarray, np.ndarray], effects: tuple[np.ndarray, np.ndarray]):
-    """Measured-input information of a qubit input against pulled-back effects, and its gradients.
-
-    ``rho`` is (eigenvalues, Bloch vector) and ``effects`` the Pauli form of
-    dual(E_b).  The block sqrt(rho) dual(E_b) sqrt(rho) has trace
-    tau_b = Tr(rho dual(E_b)) and determinant det(rho) det(dual(E_b)), which
-    fix its two eigenvalues mu = tau/2 +- s.  Returns the value, its gradient
-    in (lam_0, lam_1, n) and its gradient in each effect's (e0, e) (rows).
-    With l = log2 mu + 1/ln 2, dS_b/dtau = -(l+ + l-)/2 - (tau/4s)(l+ - l-)
-    and dS_b/ddet = (l+ - l-)/2s, whose limit at s = 0 is 2/(ln 2 tau).
-    """
-    lam, n = rho
-    e0, e = effects
-    tau_raw = e0 + e @ n
-    tau = np.maximum(tau_raw, 0.0)
-    det_e = e0 * e0 - (e * e).sum(axis=1)
-    kept_det_e = np.maximum(det_e, 0.0)
-    det = lam[0] * lam[1] * kept_det_e
-    half = 0.5 * tau
-    s = np.sqrt(np.maximum(half * half - det, 0.0))
-    block_eigs = np.concatenate([half + s, np.maximum(half - s, 0.0)])
-    value = float(_eig_entropy(lam) - _eig_entropy(block_eigs) + _eig_entropy(tau))
-
-    slope_hi, slope_lo = _eig_entropy_slope(block_eigs).reshape(2, -1)
-    split = s > 1e-6 * half
-    occupied = half > EIG_CLIP
-    ratio = np.where(  # dS_b / ddet
-        split,
-        (slope_hi - slope_lo) / (2.0 * np.where(split, s, 1.0)),
-        np.where(occupied, 1.0 / (np.log(2.0) * np.where(occupied, half, 1.0)), 0.0),
-    )
-    g_tau = np.where(tau_raw > 0.0, 0.5 * (slope_hi + slope_lo) + half * ratio - _eig_entropy_slope(tau), 0.0)
-    g_det_e = np.where(det_e > 0.0, -ratio * lam[0] * lam[1], 0.0)
-    d_lam = -ratio @ kept_det_e
-    g_rho = np.concatenate([-_eig_entropy_slope(lam) + d_lam * lam[::-1], g_tau @ e])
-    g_effects = np.column_stack([g_tau + 2.0 * e0 * g_det_e, g_tau[:, None] * n - 2.0 * g_det_e[:, None] * e])
-    return value, g_rho, g_effects
-
-
-def _qubit_chi(weights: np.ndarray, bloch_out: np.ndarray):
-    """Holevo quantity of qubit outputs (Bloch vectors, rows) at fixed weights, and its gradient in them.
-
-    With h(r) the entropy of (1 +- r)/2 and rbar = sum_j w_j r_j,
-    dchi/dr_j = w_j [h'(|rbar|) rbar/|rbar| - h'(|r_j|) r_j/|r_j|], where
-    h'(r)/r -> -1/ln 2 as r -> 0.
-    """
-    vecs = np.vstack([weights @ bloch_out, bloch_out])
-    radii = np.sqrt((vecs * vecs).sum(axis=1))
-    lam = np.stack([0.5 * (1.0 + radii), 0.5 * (1.0 - radii)], axis=1)
-    ent = _eig_entropy(lam)
-    slope = _eig_entropy_slope(lam)
-    small = radii < 1e-8
-    per_radius = np.where(small, -1.0 / np.log(2.0), 0.5 * (slope[:, 1] - slope[:, 0]) / np.where(small, 1.0, radii))
-    radial = per_radius[:, None] * vecs
-    return float(ent[0] - weights @ ent[1:]), weights[:, None] * (radial[0] - radial[1:])
-
-
-def _qubit_chi_objective(ch: QuantumChannel):
-    """(weights, signal parameters) -> (chi, its gradient in the parameters) on a qubit channel."""
-    t_mat, shift = _affine_bloch_map(ch)
-
-    def chi(weights, xs):
-        bloch, pull_back = _bloch_of_angles(xs)
-        value, g_out = _qubit_chi(weights, bloch @ t_mat.T + shift)
-        return value, pull_back(g_out @ t_mat)
-
-    return chi
-
-
-def _mi_bloch(weights: np.ndarray, bloch: np.ndarray, effects: tuple[np.ndarray, np.ndarray]):
-    """MI at fixed weights of qubit signals against effects in Pauli form, and its gradients.
-
-    Returns the value, the gradient in the signals' Bloch vectors (rows) and
-    the gradient in each effect's (e0, e) (rows).
-    """
-    value, g = _mi_and_grad(weights, _bloch_kernel(bloch, effects))
-    return value, g @ effects[1], np.column_stack([g.sum(axis=0), g.T @ bloch])
-
-
-def _mi_signal_objective(weights: np.ndarray, effects, din: int, n_states: int):
-    """Signal-block objective of the MI searches, and whether it returns a gradient.
-
-    On a qubit input the effects are in Pauli form and the objective returns
-    (value, gradient); otherwise the effects are matrices and it returns the value.
-    """
-    if din == 2:
-        def objective(xs):
-            bloch, pull_back = _bloch_of_angles(xs)
-            value, g_bloch, _ = _mi_bloch(weights, bloch, effects)
-            return value, pull_back(g_bloch)
-
-        return objective, True
-    return (lambda xs: _mi_fixed_weights(weights, _kernel(pure_states_from_params(xs, din, n_states), effects))), False
-
-
-def _pulled_back_effects(ch: QuantumChannel, n_out: int):
-    """POVM parameters -> (the POVM pulled back to the channel input, its pull-back).
-
-    The effects are in Pauli form on a 2->2 channel, and matrices otherwise.
-    A qubit channel pulls back the Pauli form w0 I + w . sigma as
-    (w0 + w . t) I + (T^T w) . sigma, so its pull-back maps a gradient
-    (e0_bar, e_bar) to (e0_bar, e0_bar t + e_bar T^T) in (w0, w), then
-    through ``_povm_pauli_from_params``; other channels give none (None).
-    """
-    if (ch.dim_in, ch.dim_out) == (2, 2):
-        t_mat, shift = _affine_bloch_map(ch)
-
-        def pulled(xm):
-            (w0, w), pull_back = _povm_pauli_from_params(xm, n_out)
-
-            def pull_back_pulled(grad):
-                return pull_back(np.column_stack([grad[:, 0], grad[:, :1] * shift + grad[:, 1:] @ t_mat.T]))
-
-            return (w0 + w @ shift, w @ t_mat), pull_back_pulled
-    else:
-        def pulled(xm):
-            return _dual_effect_stack(ch, povm_elements_from_params(xm, ch.dim_out, n_out)), None
-    return pulled
-
-
-def _joint_objective(first, second, information, split: int):
-    """(value, gradient) of ``information`` at the parameters of ``first`` (up to ``split``) then ``second``.
-
-    ``first`` and ``second`` return (form, pull-back); ``information`` returns (value, gradient in each form).
-    """
-    def objective(v):
-        (a, a_back), (b, b_back) = first(v[:split]), second(v[split:])
-        value, g_a, g_b = information(a, b)
-        return value, np.concatenate([a_back(g_a), b_back(g_b)])
-
-    return objective
-
-
-# Settings of every L-BFGS-B block solve; the block's evaluation budget caps
-# each solve, finite-difference evaluations included.
+# Settings of every L-BFGS-B block solve; the block's evaluation budget caps each solve.
 _LBFGSB_OPTIONS = {"ftol": 1e-12, "gtol": 1e-9}
 
 
@@ -617,35 +563,28 @@ def minimize(fun, x0, **options):
     return scipy_minimize(fun, x0, **options)
 
 
-def _maximize(fun, x0: np.ndarray, maxfev: int, jac: bool = False) -> np.ndarray:
+def _maximize(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
     """Local maximiser of ``fun`` from ``x0`` by L-BFGS-B, within ``maxfev`` evaluations.
 
-    With ``jac``, ``fun`` returns (value, gradient); otherwise it returns the
-    value and the gradient is taken by finite differences.  A non-finite
-    result returns ``x0``.
+    ``fun`` returns (value, gradient).  A non-finite result returns ``x0``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if jac:
-        def negated(v):
-            value, grad = fun(v)
-            return -value, -grad
-    else:
-        def negated(v):
-            return -fun(v)
+    def negated(v):
+        value, grad = fun(v)
+        return -value, -grad
 
-    res = minimize(negated, x0, jac=jac, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
+    x0 = np.asarray(x0, dtype=float)
+    res = minimize(negated, x0, jac=True, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
     return res.x if np.all(np.isfinite(res.x)) else x0
 
 
 def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, maxfev_per_param: int = 60):
     """Alternating ascent over parameter blocks.
 
-    ``block_objectives[i](*blocks)`` returns (objective, jac): an objective
-    of block i alone, built with the other blocks held, and whether it
-    returns (value, gradient) (see ``_maximize``).  A sweep maximises each
-    block's objective in turn, then takes ``sweep_value(*blocks)``; the
-    search stops once a sweep gains less than ``cfg.tol``.  With one block
-    of all parameters a sweep is one joint solve.
+    ``block_objectives[i](*blocks)`` returns an objective of block i alone,
+    built with the other blocks held, that returns (value, gradient).  A
+    sweep maximises each block's objective in turn, then takes
+    ``sweep_value(*blocks)``; the search stops once a sweep gains less than
+    ``cfg.tol``.  With one block of all parameters a sweep is one joint solve.
     Returns the blocks, the best sweep value and whether that test (rather
     than ``cfg.max_iters``) ended the search.
     """
@@ -653,8 +592,7 @@ def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, m
     current = sweep_value(*blocks)
     for _ in range(cfg.max_iters):
         for i, make_objective in enumerate(block_objectives):
-            objective, jac = make_objective(*blocks)
-            blocks[i] = _maximize(objective, blocks[i], maxfev_per_param * len(blocks[i]), jac)
+            blocks[i] = _maximize(make_objective(*blocks), blocks[i], maxfev_per_param * len(blocks[i]))
         value = sweep_value(*blocks)
         improved = value - current
         current = max(value, current)
@@ -741,12 +679,12 @@ def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) ->
         rows = np.zeros((n_out, 2), dtype=complex)
         # element b projects onto basis column b, so the isometry row is its conjugate
         rows[0], rows[1] = basis[:, 0].conj(), basis[:, 1].conj()
-        return _povm_params_from_rows(rows)
+        return _complex_params(rows)
     if dim != 2 and restart == 0:
         rows = np.zeros((n_out, dim), dtype=complex)
         for b in range(min(dim, n_out)):
             rows[b, b] = 1.0
-        return _povm_params_from_rows(rows)
+        return _complex_params(rows)
     return rng.normal(size=n_povm_params(dim, n_out))
 
 
@@ -778,15 +716,17 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     n_out = max(cfg.povm_size_cap, dout)
 
     ns = n_state_params(din, n_states)
-    pulled = _pulled_back_effects(ch, n_out)
+    dual = _dual_matrix(ch)
     qubit = (din, dout) == (2, 2)
+
+    def effects_of(xm):
+        return povm_elements_from_params(xm, dout, n_out).reshape(n_out, -1) @ dual
 
     def run(restart, rng):
         warm = {"w": None}
 
         def ba_value(cat_):  # of the signal then POVM parameters
-            effects = _dual_effect_stack(ch, povm_elements_from_params(cat_[ns:], dout, n_out))
-            kern = _kernel(pure_states_from_params(cat_[:ns], din, n_states), effects)
+            kern = _kernel(pure_states_from_params(cat_[:ns], din, n_states), effects_of(cat_[ns:]))
             c, w = blahut_arimoto(kern, tol=1e-9, max_iters=250, init_weights=warm["w"])
             warm["w"] = w
             return c
@@ -805,22 +745,14 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
                 rng,
             )
 
-        # weights from the sweep-start kernel stay fixed inside the block
-        def joint_block(_):
-            w = _block_weights(warm["w"])
-            if qubit:
-                return _joint_objective(_bloch_of_angles, pulled, lambda b, e: _mi_bloch(w, b, e), ns), True
-
-            def objective(v):
-                return _mi_fixed_weights(w, _kernel(pure_states_from_params(v[:ns], din, n_states), pulled(v[ns:])[0]))
-
-            return objective, False
+        def joint_block(_):  # weights from the sweep-start kernel stay fixed inside the block
+            return _shannon_objective(dual, _block_weights(warm["w"]), (din, dout), n_states, n_out)
 
         (cat,), _, converged = _block_ascent([cat], ba_value, [joint_block], cfg)
 
         states = pure_states_from_params(cat[:ns], din, n_states)
         elements = povm_elements_from_params(cat[ns:], dout, n_out)
-        _, weights = blahut_arimoto(_kernel(states, _dual_effect_stack(ch, elements)), tol=1e-10, max_iters=3000)
+        _, weights = blahut_arimoto(_kernel(states, elements.reshape(n_out, -1) @ dual), tol=1e-10, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
         povm = Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
@@ -842,15 +774,13 @@ def fixed_measurement_capacity(
     one, the POVM acts directly on the signal space (``dim`` defaults to the
     POVM dimension).
     """
+    effects = np.stack(m.elements).reshape(len(m.elements), -1)
     if ch is not None:
-        effects = _dual_effect_stack(ch, np.stack(m.elements))
+        effects = effects @ _dual_matrix(ch)
         din = ch.dim_in
     else:
-        effects = np.stack(m.elements)
         din = dim if dim is not None else m.dim
     n_states = max(cfg.ensemble_size_cap, 2)
-
-    input_effects = _pauli_form(effects) if din == 2 else effects
 
     def run(restart, rng):
         warm = {"w": None}
@@ -864,7 +794,7 @@ def fixed_measurement_capacity(
         xs = _signal_inits(din, n_states, restart, rng, ba_value)
 
         def signal_block(_):
-            return _mi_signal_objective(_block_weights(warm["w"]), input_effects, din, n_states)
+            return _signal_information(_block_weights(warm["w"]), effects, din, n_states)
 
         (xs,), _, converged = _block_ascent([xs], ba_value, [signal_block], cfg)
 
@@ -931,22 +861,14 @@ def max_holevo_weights(
 
 def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible Holevo quantity over ensembles of pure signal states."""
-    din = ch.dim_in
+    din, dout = ch.dim_in, ch.dim_out
     n_states = max(cfg.ensemble_size_cap, 2)
-    kr = np.stack(ch.kraus)
+    dual = _dual_matrix(ch)
+    channel = dual.conj().T
 
     def outputs_of(xs_):
-        states = pure_states_from_params(xs_, din, n_states)
-        return np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
-
-    qubit = (din, ch.dim_out) == (2, 2)
-    if qubit:
-        chi_fixed = _qubit_chi_objective(ch)  # returns (chi, gradient)
-    else:
-        def chi_fixed(w, xs_):
-            outs = outputs_of(xs_)
-            avg = np.einsum("j,jab->ab", w, outs)
-            return float(_entropy_stack(avg[None])[0] - w @ _entropy_stack(outs))
+        states = pure_states_from_params(xs_, din, n_states).reshape(n_states, -1)
+        return (states @ channel).reshape(n_states, dout, dout)
 
     def run(restart, rng):
         warm = {"w": None}
@@ -959,8 +881,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         xs = _signal_inits(din, n_states, restart, rng, chi_value)
 
         def signal_block(_):
-            w = _block_weights(warm["w"])
-            return (lambda v: chi_fixed(w, v)), qubit
+            return _holevo_objective(dual, _block_weights(warm["w"]), (din, dout), n_states)
 
         (xs,), _, converged = _block_ascent([xs], chi_value, [signal_block], cfg)
 
@@ -970,7 +891,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         value = holevo_information(ch, ensemble)
         return value, CapacityResult(value, ensemble, converged=converged)
 
-    _, best, runs = _best_restart(run, cfg, ceiling=np.log2(min(din, ch.dim_out)))
+    _, best, runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
     return replace(best, restarts_used=runs)
 
 
@@ -981,8 +902,8 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
 def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible value of the measured-input information over (rho, POVM).
 
-    The average input is parametrised full rank (eigenvalue simplex times a
-    unitary) and the POVM by the rank-1 isometry construction.  The result is
+    The average input is parametrised as rho = a a^dag with a of unit norm,
+    and the POVM by the rank-1 isometry construction.  The result is
     a feasible value of the bound's objective, so at most its supremum; the
     supremum upper-bounds the Shannon capacity, but this value certifies no
     upper bound.
@@ -992,21 +913,10 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
 
     nr = n_density_params(din)
     qubit = (din, dout) == (2, 2)
+    joint = _measured_input_objective(_dual_matrix(ch), (din, dout), n_out)
 
-    # the objective of the input then POVM parameters; on a 2->2 channel the
-    # parametrisations come with their pull-backs and the information with its
-    # gradients in both arguments
-    effects_of = _pulled_back_effects(ch, n_out)
-    if qubit:
-        joint = _joint_objective(_density_bloch_from_params, effects_of, _measured_input_bloch, nr), True
-
-        def value_of(cat):
-            return _measured_input_bloch(_density_bloch_from_params(cat[:nr])[0], effects_of(cat[nr:])[0])[0]
-    else:
-        def value_of(cat):
-            return _measured_input_fast(density_from_params(cat[:nr], din), effects_of(cat[nr:])[0])
-
-        joint = value_of, False
+    def value_of(cat):
+        return joint(cat)[0]
 
     def run(restart, rng):
         if restart == 0 and qubit:
@@ -1015,10 +925,10 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
             _, xm, xr = _witness_inits(ch, 2, n_out)
             cat = np.concatenate([xr, xm])
         elif restart == 0 or (restart == 1 and qubit):
-            # maximally mixed input; readout along the channel ellipsoid's
-            # dominant output axis when available, the basis otherwise.  On a
-            # qubit input g = I, since g = 0 is a fallback point without slope.
-            xr = np.concatenate([np.zeros(2), np.eye(2).ravel(), np.zeros(4)]) if din == 2 else np.zeros(nr)
+            # maximally mixed input (a = I, since a = 0 is a fallback point
+            # without slope); readout along the channel ellipsoid's dominant
+            # output axis when available, the basis otherwise
+            xr = _complex_params(np.eye(din))
             cat = np.concatenate([xr, _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)])
         else:
             cat = _best_of_draws(
@@ -1063,42 +973,20 @@ def _projective_rows(n: np.ndarray, n_out: int) -> np.ndarray:
     return rows
 
 
-def _density_params_from_state(rho: np.ndarray) -> np.ndarray:
-    """Parameters that reproduce a full-rank density matrix exactly."""
-    dim = rho.shape[0]
-    mixed = (1.0 - 1e-9) * rho + 1e-9 * np.eye(dim) / dim
-    lam, vec = np.linalg.eigh(mixed)
-    return np.concatenate([np.log(np.clip(lam, 1e-300, None)), vec.real.ravel(), vec.imag.ravel()])
-
-
 def _witness_inits(ch: QuantumChannel, n_states: int, n_out: int):
     """Shannon-style and measured-input inits from the coarse scan's argmax."""
     _, b_lo, b_hi, w, n = _coarse_qubit_scan(ch)
     angles = [_bloch_angles(b_lo), _bloch_angles(b_hi), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
     xs = np.resize(angles, (n_states, 2)).ravel()
-    xm = _povm_params_from_rows(_projective_rows(n, n_out))
-    rho = w[0] * _bloch_state(b_lo) + w[1] * _bloch_state(b_hi)
-    xr = _density_params_from_state(rho)
+    xm = _complex_params(_projective_rows(n, n_out))
+    xr = _complex_params(_signal_vectors(xs, 2, 2)[0].T * np.sqrt(w))  # a = (sqrt(w_lo) v_lo, sqrt(w_hi) v_hi)
     return xs, xm, xr
 
 
 def _ellipsoid_povm_init(ch: QuantumChannel, n_out: int) -> np.ndarray:
     """Projective init along the dominant output axis of a qubit channel."""
     u, _, _ = np.linalg.svd(_affine_bloch_map(ch)[0])
-    return _povm_params_from_rows(_projective_rows(u[:, 0], n_out))
-
-
-def _measured_input_fast(rho: np.ndarray, duals: np.ndarray) -> float:
-    """Measured-input information of input ``rho`` against the pulled-back effects ``duals``."""
-    lam, vec = np.linalg.eigh(rho)
-    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
-    blocks = np.einsum("ab,mbc,cd->mad", root, duals, root)
-    ent_blocks = _entropy_stack(blocks)
-    tau = np.einsum("maa->m", blocks).real
-    s_rho = _entropy_stack(rho[None])[0]
-    tau = np.clip(tau, 0.0, None)
-    ent_blocks = np.where(tau > 1e-12, ent_blocks, 0.0)
-    return float(s_rho - ent_blocks.sum() + _eig_entropy(tau))
+    return _complex_params(_projective_rows(u[:, 0], n_out))
 
 
 # ---------------------------------------------------------------------------

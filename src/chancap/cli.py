@@ -45,7 +45,7 @@ from .channels import (
     load_channel,
     phase_damping_channel,
 )
-from .errors import ChannelSpecError, InvariantViolation
+from .errors import ChannelSpecError, DimensionMismatchError, InvariantViolation
 from .information import (
     classical_mutual_information,
     conditional_mutual_information,
@@ -246,8 +246,8 @@ def cmd_additivity(args) -> int:
     if len(channels) != 1:
         raise ChannelSpecError("depth 3 takes exactly one channel file")
     ch = channels[0]
+    value, _, _ = best_conditional_information([ch, ch, ch], cfg)  # first: it rejects a non-qubit output at once
     single = shannon_capacity(ch, cfg)
-    value, _, _ = best_conditional_information([ch, ch, ch], cfg)
     bound = 3.0 * single.value
     ok = value <= bound + 2e-3
     results = [
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ChannelSpecError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ChannelSpecError, DimensionMismatchError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InvariantViolation as exc:

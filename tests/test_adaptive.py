@@ -291,6 +291,18 @@ class TestAdditivityExperiment:
         value = product_strategy_value(ch1, ch2, r1, r2)
         assert abs(value - (r1.value + r2.value)) < 1e-6
 
+    def test_non_qubit_output_rejected_before_any_estimate(self, monkeypatch):
+        # the conditional stages measure qubit outputs; the input may be larger
+        import chancap.adaptive as adaptive
+
+        ch = random_channel(3, 2, seed=1)
+        monkeypatch.setattr(adaptive, "shannon_capacity", lambda *args: pytest.fail("estimated before the check"))
+        with pytest.raises(DimensionMismatchError, match="qubit outputs"):
+            additivity_experiment(identity_channel(2), ch, QUICK)
+        for depth in (1, 2, 3):
+            with pytest.raises(DimensionMismatchError, match="qubit outputs"):
+                best_conditional_information([ch] * depth, QUICK)
+
 
 class TestIteratedDepthThree:
     def test_conditional_bounded_by_triple_capacity(self):

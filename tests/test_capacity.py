@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chancap import adaptive
 from chancap import capacity as cap
 from chancap.capacity import (
     CapacityResult,
@@ -35,7 +36,13 @@ from chancap.channels import (
     trine_povm,
 )
 from chancap.errors import DimensionMismatchError, InvariantViolation
-from chancap.information import channel_mutual_information, holevo_information, measured_input_information
+from chancap.information import (
+    Ensemble,
+    channel_mutual_information,
+    holevo_information,
+    measured_input_information,
+    mutual_information,
+)
 from chancap.linalg import assert_density_matrix, shannon_entropy
 from chancap.rand import random_povm, random_unitary
 
@@ -91,7 +98,7 @@ class TestBlahutArimoto:
         ref = _reference_ba(kernel, tol=1e-15, max_iters=100000)
         assert info["gap"] < 1e-10
         assert value >= ref - 1e-15
-        assert abs(value - cap._mi_fixed_weights(weights, kernel)) <= 1e-14
+        assert abs(value - cap._mi_and_grad(weights, kernel)[0]) <= 1e-14
 
     def test_gap_brackets_binary_closed_form(self):
         # the two solvers certify each other: lower <= C <= lower + gap
@@ -182,7 +189,7 @@ class TestNewtonWeights:
             assert value >= ref - 1e-13
             assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) < 1e-14
             assert info["gap"] < 1e-12
-            assert abs(value - cap._mi_fixed_weights(weights, kernel)) <= 1e-14
+            assert abs(value - cap._mi_and_grad(weights, kernel)[0]) <= 1e-14
             most = max(most, info["iterations"] - 1)
         assert most <= 30
 
@@ -268,7 +275,7 @@ class TestBinaryCapacity:
             ref, _ = blahut_arimoto(_binary_kernel(l, h), **REF_BA)
             assert v >= ref - 1e-12
             assert abs(v - ref) < 1e-9
-            assert abs(v - cap._mi_fixed_weights(w, _binary_kernel(l, h))) <= 1e-15
+            assert abs(v - cap._mi_and_grad(w, _binary_kernel(l, h))[0]) <= 1e-15
 
     def test_noiseless(self):
         value, weights = cap._binary_capacity(0.0, 1.0)
@@ -295,7 +302,7 @@ class TestBinaryCapacity:
                 value, weights = cap._binary_capacity(lo, lo + d)
                 assert np.isfinite(value) and value >= 0.0
                 assert np.all((weights >= 0.0) & (weights <= 1.0))
-                assert abs(value - cap._mi_fixed_weights(weights, _binary_kernel(lo, lo + d))) <= 1e-15
+                assert abs(value - cap._mi_and_grad(weights, _binary_kernel(lo, lo + d))[0]) <= 1e-15
 
 
 class TestParametrisations:
@@ -328,8 +335,10 @@ class TestParametrisations:
         for tol in (0.0, np.nan, np.inf):
             with pytest.raises(InvariantViolation):
                 OptimizerConfig(tol=tol)
-        with pytest.raises(InvariantViolation):
-            OptimizerConfig(ensemble_size_cap=1)
+        for field, cap_ in [("ensemble_size_cap", 1), ("povm_size_cap", 1), ("ensemble_size_cap", 257), ("povm_size_cap", 10**9)]:
+            with pytest.raises(InvariantViolation):  # built without allocating anything of that size
+                OptimizerConfig(**{field: cap_})
+        assert OptimizerConfig(ensemble_size_cap=256, povm_size_cap=256).povm_size_cap == 256
         with pytest.raises(InvariantViolation):
             OptimizerConfig(restarts=0)
         with pytest.raises(InvariantViolation):
@@ -649,119 +658,99 @@ class TestConverged:
         assert fixed_measurement_capacity(ch, basis_povm(2), QUICK).converged is True
 
 
-def _chi_matrix_route(ch, weights, states):
-    kr = np.stack(ch.kraus)
-    outs = np.einsum("kai,jib,kcb->jac", kr, states, kr.conj())
-    avg = np.einsum("j,jab->ab", weights, outs)
-    return cap._entropy_stack(avg[None])[0] - weights @ cap._entropy_stack(outs)
+MATRIX_DIMS = [(2, 2), (3, 3), (4, 4), (2, 3)]
+
+
+def _channel_of(dims, seed, rank=2):
+    """A random channel with these (input, output) dimensions: a qubit channel read by a trine for 2->3."""
+    if dims == (2, 3):
+        return measured_channel(random_channel(2, rank, seed=seed), trine_povm())
+    return random_channel(dims[0], rank, seed=seed)
+
+
+def _blocks(dims, n_states=4, n_out=4, n_cases=4, seed=22):
+    """(channel, weights, signal, POVM and input parameters) at random points of one dimension pair."""
+    din, dout = dims
+    n_out = max(n_out, dout)
+    rng = np.random.default_rng([seed, din, dout])
+    for i in range(n_cases):
+        yield (
+            _channel_of(dims, 300 + i, rank=1 + i % 3),
+            rng.dirichlet(np.ones(n_states)),
+            rng.normal(scale=1.5, size=n_state_params(din, n_states)),
+            rng.normal(size=n_povm_params(dout, n_out)),
+            rng.normal(size=n_density_params(din)),
+        )
+
+
+def _pure_input_params(xr, dim):
+    """``xr`` with every column of the input factor but the first set to 0: a pure input."""
+    a = (xr[: dim * dim] + 1j * xr[dim * dim:]).reshape(dim, dim)
+    a[:, 1:] = 0.0
+    return cap._complex_params(a)
 
 
 class TestBlochObjectives:
-    """The qubit objectives equal the matrix route at the same parameters."""
+    """Each block objective's value equals ``chancap.information`` at the same feasible point.
 
-    N_STATES, N_OUT = 4, 4
+    The blocks share one matrix route at every dimension; qubit signals keep
+    their Bloch angles.
+    """
 
-    def degenerate_povm_params(self):
-        x = np.random.default_rng(20).normal(size=n_povm_params(2, self.N_OUT))
-        zero_first = x.copy()
-        zero_first[0:8:2] = zero_first[8::2] = 0.0
-        parallel = x.copy()
-        parallel[1:8:2], parallel[9::2] = 2.0 * x[0:8:2], 2.0 * x[8::2]
-        nearly_parallel = parallel + 1e-10 * np.random.default_rng(26).normal(size=x.size)
-        zero_second = x.copy()
-        zero_second[1:8:2] = zero_second[9::2] = 0.0
-        return [np.zeros_like(x), zero_first, parallel, nearly_parallel, zero_second, 1e-140 * x, 1e140 * x]
+    @staticmethod
+    def ensemble(w, xs, dim):
+        return Ensemble(w, tuple(pure_states_from_params(xs, dim, len(w))))
 
-    def degenerate_density_params(self):
-        x = np.random.default_rng(21).normal(size=n_density_params(2))
-        zero_first = x.copy()
-        zero_first[[2, 4, 6, 8]] = 0.0  # first column of g
-        tiny_g = x.copy()
-        tiny_g[2:] = 1e-11  # ||g|| < 1e-9: the identity fallback
-        pure = x.copy()
-        pure[:2] = [0.0, -800.0]
-        mixed = x.copy()
-        mixed[:2] = 0.0
-        pure_zero_first = zero_first.copy()
-        pure_zero_first[:2] = [0.0, -800.0]
-        tiny_first = x.copy()
-        tiny_first[[2, 4, 6, 8]] *= 1e-155
-        return [np.zeros_like(x), zero_first, tiny_g, pure, mixed, pure_zero_first, tiny_first]
-
-    def cases(self, n_cases=12):
-        rng = np.random.default_rng(22)
-        for i in range(n_cases):
-            ch = random_channel(2, 1 + i % 4, seed=300 + i)
-            yield (
-                ch,
-                rng.dirichlet(np.ones(self.N_STATES)),
-                rng.normal(scale=1.5, size=n_state_params(2, self.N_STATES)),
-                rng.normal(size=n_povm_params(2, self.N_OUT)),
-                rng.normal(size=n_density_params(2)),
-            )
-
-    def test_pauli_povm_matches_qr(self):
-        rng = np.random.default_rng(23)
-        for x in [rng.normal(size=n_povm_params(2, self.N_OUT)) for _ in range(20)] + self.degenerate_povm_params():
-            (w0, w), pull_back = cap._povm_pauli_from_params(x, self.N_OUT)
-            assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w))
-            assert np.all(np.isfinite(pull_back(rng.normal(size=(self.N_OUT, 4)))))
-            rebuilt = w0[:, None, None] * np.eye(2) + np.einsum("bk,kij->bij", w, np.stack(cap.PAULI))
-            np.testing.assert_allclose(rebuilt, povm_elements_from_params(x, 2, self.N_OUT), atol=1e-12)
-
-    def test_density_bloch_matches_qr(self):
-        rng = np.random.default_rng(24)
-        for x in [rng.normal(size=n_density_params(2)) for _ in range(20)] + self.degenerate_density_params():
-            (lam, n), pull_back = cap._density_bloch_from_params(x)
-            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(n))
-            assert np.all(np.isfinite(pull_back(rng.normal(size=5))))
-            rebuilt = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", n, np.stack(cap.PAULI)))
-            np.testing.assert_allclose(rebuilt, density_from_params(x, 2), atol=1e-12)
+    @staticmethod
+    def povm(xm, dim):
+        return Povm(tuple(povm_elements_from_params(xm, dim, len(xm) // (2 * dim))))
 
     def test_shannon_kernel(self):
-        for ch, w, xs, xm, _ in self.cases():
-            pulled = cap._pulled_back_effects(ch, self.N_OUT)
-            states, bloch = pure_states_from_params(xs, 2, self.N_STATES), cap._bloch_of_angles(xs)[0]
-            for xm_ in [xm] + self.degenerate_povm_params():
-                effects, pull_back = pulled(xm_)
-                got = cap._bloch_kernel(bloch, effects)
-                want = cap._kernel(states, cap._dual_effect_stack(ch, povm_elements_from_params(xm_, 2, self.N_OUT)))
-                assert np.all(np.isfinite(got))
-                np.testing.assert_allclose(got, want, atol=1e-12)
-                mi = cap._mi_fixed_weights(w, want)
-                assert abs(cap._mi_fixed_weights(w, got) - mi) < 1e-12
-                value, g_bloch, g_effects = cap._mi_bloch(w, bloch, effects)
-                signal_value, g_xs = cap._mi_signal_objective(w, effects, 2, self.N_STATES)[0](xs)
-                assert abs(value - mi) < 1e-12 and abs(signal_value - mi) < 1e-12
-                for g in (g_bloch, g_effects, g_xs, pull_back(g_effects)):
-                    assert np.all(np.isfinite(g))
+        for dims in MATRIX_DIMS:
+            for ch, w, xs, xm, _ in _blocks(dims):
+                want = channel_mutual_information(ch, self.ensemble(w, xs, dims[0]), self.povm(xm, dims[1]))
+                n_out = len(xm) // (2 * dims[1])
+                joint = cap._shannon_objective(cap._dual_matrix(ch), w, dims, len(w), n_out)
+                effects = np.stack(self.povm(xm, dims[1]).elements).reshape(n_out, -1) @ cap._dual_matrix(ch)
+                signals = cap._signal_information(w, effects, dims[0], len(w))
+                assert abs(joint(np.concatenate([xs, xm]))[0] - want) < 1e-12
+                assert abs(signals(xs)[0] - want) < 1e-12
 
     def test_holevo_chi(self):
-        # rank-1 channels, the identity among them, give pure outputs (|r| = 1);
-        # the completely noisy channel gives |r| = 0
-        channels = [(ch, w, xs) for ch, w, xs, _, _ in self.cases()]
-        channels += [(identity_channel(2), channels[0][1], channels[0][2])]
-        channels += [(completely_noisy_channel(2), channels[1][1], channels[1][2])]
-        for ch, w, xs in channels:
-            got, grad = cap._qubit_chi_objective(ch)(w, xs)
-            want = _chi_matrix_route(ch, w, pure_states_from_params(xs, 2, self.N_STATES))
-            assert np.isfinite(got) and np.all(np.isfinite(grad))
-            assert abs(got - want) < 1e-12
+        # rank-1 channels, the identity among them, give pure outputs; the
+        # completely noisy channel gives the maximally mixed one
+        for dims in MATRIX_DIMS:
+            cases = [(ch, w, xs) for ch, w, xs, _, _ in _blocks(dims)]
+            if dims[0] == dims[1]:
+                d = dims[0]
+                cases += [(identity_channel(d), *cases[0][1:]), (completely_noisy_channel(d), *cases[1][1:])]
+            for ch, w, xs in cases:
+                got = cap._holevo_objective(cap._dual_matrix(ch), w, dims, len(w))(xs)[0]
+                assert abs(got - holevo_information(ch, self.ensemble(w, xs, dims[0]))) < 1e-12
 
     def test_measured_input(self):
-        for ch, _, _, xm, xr in self.cases():
-            pulled = cap._pulled_back_effects(ch, self.N_OUT)
-            for xm_ in [xm] + self.degenerate_povm_params():
-                povm = Povm(tuple(povm_elements_from_params(xm_, 2, self.N_OUT)))
-                effects, effects_back = pulled(xm_)
-                for xr_ in [xr] + self.degenerate_density_params():
-                    rho, rho_back = cap._density_bloch_from_params(xr_)
-                    got, g_rho, g_effects = cap._measured_input_bloch(rho, effects)
-                    want = measured_input_information(ch, density_from_params(xr_, 2), povm)
-                    assert np.isfinite(got)
-                    assert abs(got - want) < 1e-12
-                    for g in (g_rho, g_effects, rho_back(g_rho), effects_back(g_effects)):
-                        assert np.all(np.isfinite(g))
+        for dims in MATRIX_DIMS:
+            for ch, _, _, xm, xr in _blocks(dims):
+                n_out = len(xm) // (2 * dims[1])
+                objective = cap._measured_input_objective(cap._dual_matrix(ch), dims, n_out)
+                for xr_ in (xr, _pure_input_params(xr, dims[0]), np.zeros_like(xr)):  # full rank, pure, fallback
+                    want = measured_input_information(ch, density_from_params(xr_, dims[0]), self.povm(xm, dims[1]))
+                    assert abs(objective(np.concatenate([xr_, xm]))[0] - want) < 1e-12
+
+    @pytest.mark.parametrize("depth, din", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+    def test_strategy_block(self, depth, din):
+        # both adaptive blocks against the flattened, validated strategy
+        channels = [_qubit_output_channel(din, 400 + k) for k in range(depth)]
+        dim, ops = din ** depth, adaptive._stage_operators(channels)
+        rng = np.random.default_rng(depth)
+        for _ in range(4):
+            w, xs = rng.dirichlet(np.ones(4)), rng.normal(size=n_state_params(dim, 4))
+            xm = rng.normal(scale=3.0, size=adaptive._strategy_param_count(depth))
+            flat = adaptive.flatten(adaptive.dual_conditional(channels, adaptive._strategy_from_params(xm, depth)))
+            want = mutual_information(self.ensemble(w, xs, dim), flat)
+            effects = adaptive._stage_effects(cap._bloch_of_angles(xm)[0], ops)
+            assert abs(_strategy_objective(channels, w, xs)(xm)[0] - want) < 1e-12
+            assert abs(cap._signal_information(w, effects, dim, 4)(xs)[0] - want) < 1e-12
 
     def test_wider_output_estimate_reproduces_value(self):
         ch = measured_channel(random_channel(2, 2, seed=320), trine_povm())
@@ -769,14 +758,30 @@ class TestBlochObjectives:
         assert abs(measured_input_information(ch, res.argmax_rho, res.argmax_povm) - res.value) < 1e-12
 
 
+def _qubit_output_channel(din, seed):
+    """A random din -> 2 channel: an isometry into C^2 x C^din sliced into Kraus blocks."""
+    if din == 2:
+        return random_channel(2, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2 * din, din)) + 1j * rng.normal(size=(2 * din, din)))
+    return QuantumChannel(tuple(q[2 * k: 2 * k + 2] for k in range(din)))
+
+
+def _strategy_objective(channels, weights, xs):
+    """The strategy block of ``best_conditional_information`` at these weights and signals."""
+    dim = int(np.prod([c.dim_in for c in channels]))
+    states = pure_states_from_params(xs, dim, len(weights))
+    return adaptive._strategy_information(weights, adaptive._pauli_moments(states, adaptive._stage_operators(channels)))
+
+
 def _block_solves(monkeypatch, estimator, ch, cfg=OptimizerConfig(restarts=1, max_iters=1)):
-    """Every ``_maximize`` call (objective, start, budget, jac) the estimator makes on ``ch``, in order,
+    """Every ``_maximize`` call (objective, start, budget) the estimator makes on ``ch``, in order,
     with a None for each sweep value taken between them."""
     log, maximize, ascent = [], cap._maximize, cap._block_ascent
 
-    def recording(fun, x0, maxfev, jac=False):
-        log.append((fun, np.array(x0), maxfev, jac))
-        return maximize(fun, x0, maxfev, jac)
+    def recording(fun, x0, maxfev):
+        log.append((fun, np.array(x0), maxfev))
+        return maximize(fun, x0, maxfev)
 
     def logged_ascent(blocks, sweep_value, *rest, **options):
         def value(*parts):
@@ -797,65 +802,61 @@ def _central_difference(f, x, h=1e-6):
 
 
 class TestBlochGradients:
-    """The gradients of the qubit block objectives against central differences of their values."""
+    """The gradients of the block objectives against central differences of their values."""
 
-    N_STATES, N_OUT = 4, 4
-
-    def cases(self):
-        rng = np.random.default_rng(28)
-        channels = [random_channel(2, 1 + i % 4, seed=340 + i) for i in range(12)]  # Kraus rank 1-4
-        for ch in channels + [identity_channel(2), amplitude_damping_channel(0.5)]:
-            yield (
-                ch,
-                rng.dirichlet(np.ones(self.N_STATES)),
-                rng.normal(scale=1.5, size=n_state_params(2, self.N_STATES)),
-                rng.normal(size=n_povm_params(2, self.N_OUT)),
-                rng.normal(size=n_density_params(2)),
-            )
-
-    def assert_gradient(self, objective, x):
+    @staticmethod
+    def assert_gradient(objective, x):
         grad = objective(x)[1]
         want = _central_difference(lambda v: objective(v)[0], x)
-        assert np.all(np.isfinite(grad))
+        assert grad.shape == x.shape and np.all(np.isfinite(grad))
         np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-7 * max(1.0, np.abs(want).max()))
 
     def test_mi_signals(self):
-        for ch, w, xs, xm, _ in self.cases():
-            effects = cap._pulled_back_effects(ch, self.N_OUT)(xm)[0]
-            objective, jac = cap._mi_signal_objective(w, effects, 2, self.N_STATES)
-            assert jac
-            self.assert_gradient(objective, xs)
+        for dims in MATRIX_DIMS:
+            for ch, w, xs, xm, _ in _blocks(dims):
+                n_out = len(xm) // (2 * dims[1])
+                effects = povm_elements_from_params(xm, dims[1], n_out).reshape(n_out, -1) @ cap._dual_matrix(ch)
+                self.assert_gradient(cap._signal_information(w, effects, dims[0], len(w)), xs)
 
     def test_mi_povm(self):
-        for ch, w, xs, xm, _ in self.cases():
-            pulled, bloch = cap._pulled_back_effects(ch, self.N_OUT), cap._bloch_of_angles(xs)[0]
+        for dims in MATRIX_DIMS:
+            for ch, w, xs, xm, _ in _blocks(dims):
+                joint = cap._shannon_objective(cap._dual_matrix(ch), w, dims, len(w), len(xm) // (2 * dims[1]))
 
-            def objective(v):
-                effects, pull_back = pulled(v)
-                value, _, g_effects = cap._mi_bloch(w, bloch, effects)
-                return value, pull_back(g_effects)
+                def objective(v):
+                    value, grad = joint(np.concatenate([xs, v]))
+                    return value, grad[len(xs):]
 
-            self.assert_gradient(objective, xm)
+                self.assert_gradient(objective, xm)
 
     def test_mi_joint(self, monkeypatch):
-        # the one block shannon_capacity solves on a 2->2 channel: signals, then POVM
-        for ch, _, xs, xm, _ in self.cases():
-            objective, x0, _, _ = next(filter(None, _block_solves(monkeypatch, shannon_capacity, ch)))
-            self.assert_gradient(objective, x0)
-            self.assert_gradient(objective, np.concatenate([xs, xm]))
+        # the one block shannon_capacity solves per sweep: signals, then POVM
+        for dims in MATRIX_DIMS:
+            for ch, _, xs, xm, _ in _blocks(dims, n_cases=2):
+                objective, x0, _ = next(filter(None, _block_solves(monkeypatch, shannon_capacity, ch)))
+                self.assert_gradient(objective, x0)
+                self.assert_gradient(objective, np.concatenate([xs, xm]))
 
     def test_chi(self):
-        for ch, w, xs, _, _ in self.cases():
-            chi = cap._qubit_chi_objective(ch)
-            self.assert_gradient(lambda v: chi(w, v), xs)
+        for dims in MATRIX_DIMS:
+            for ch, w, xs, _, _ in _blocks(dims):
+                self.assert_gradient(cap._holevo_objective(cap._dual_matrix(ch), w, dims, len(w)), xs)
 
     def test_measured_input(self):
-        for ch, _, _, xm, xr in self.cases():
-            pulled = cap._pulled_back_effects(ch, self.N_OUT)
-            for xr_ in (xr, np.concatenate([[0.0, -800.0], xr[2:]])):  # full rank, then pure
+        for dims in MATRIX_DIMS:
+            for ch, _, _, xm, xr in _blocks(dims):
+                objective = cap._measured_input_objective(cap._dual_matrix(ch), dims, len(xm) // (2 * dims[1]))
+                for xr_ in (xr, _pure_input_params(xr, dims[0])):  # full rank, then pure
+                    self.assert_gradient(objective, np.concatenate([xr_, xm]))
 
-                joint = cap._joint_objective(cap._density_bloch_from_params, pulled, cap._measured_input_bloch, 10)
-                self.assert_gradient(joint, np.concatenate([xr_, xm]))
+    @pytest.mark.parametrize("depth, din", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+    def test_strategy_block(self, depth, din):
+        channels = [_qubit_output_channel(din, 410 + k) for k in range(depth)]
+        rng = np.random.default_rng(10 + depth)
+        for _ in range(3):
+            w, xs = rng.dirichlet(np.ones(4)), rng.normal(size=n_state_params(din ** depth, 4))
+            xm = rng.normal(scale=3.0, size=adaptive._strategy_param_count(depth))
+            self.assert_gradient(_strategy_objective(channels, w, xs), xm)
 
     def test_entropy_slope(self):
         # dS/dlam = -slope for kept eigenvalues; dropped ones (<= EIG_CLIP) count 0
@@ -869,34 +870,45 @@ class TestBlochGradients:
         kernel = rng.dirichlet(np.ones(3), size=4)
         kernel[1, 2] = 0.0  # a clipped entry: its gradient is taken as 0
         w = rng.dirichlet(np.ones(4))
-        value, grad = cap._mi_and_grad(w, kernel)
-        assert value == cap._mi_fixed_weights(w, kernel)
+        grad = cap._mi_and_grad(w, kernel)[1]
         assert grad[1, 2] == 0.0
-        flat = _central_difference(lambda v: cap._mi_fixed_weights(w, v.reshape(4, 3)), kernel.ravel())
+        flat = _central_difference(lambda v: cap._mi_and_grad(w, v.reshape(4, 3))[0], kernel.ravel())
         kept = kernel.ravel() > 0.0
         np.testing.assert_allclose(grad.ravel()[kept], flat[kept], atol=1e-8)
 
     def test_degenerate_parameters_pull_back_zeros(self):
-        # the matrix-route fallbacks report no slope, so L-BFGS-B stops there
-        params, rng = TestBlochObjectives(), np.random.default_rng(30)
-        pulled = cap._pulled_back_effects(random_channel(2, 3, seed=360), self.N_OUT)
-        for x in params.degenerate_povm_params():
-            grad = rng.normal(size=(self.N_OUT, 4))
-            for pull_back in (cap._povm_pauli_from_params(x, self.N_OUT)[1], pulled(x)[1]):
-                np.testing.assert_array_equal(pull_back(grad), np.zeros_like(x))
-        for i, x in enumerate(params.degenerate_density_params()):
-            grad = cap._density_bloch_from_params(x)[1](rng.normal(size=5))
-            assert np.all(np.isfinite(grad))
-            if i in (0, 1, 2, 5, 6):  # zero g, zero or tiny first column
-                np.testing.assert_array_equal(grad, np.zeros_like(x))
+        # the fallbacks report no slope, so L-BFGS-B stops there, and stay feasible
+        rng = np.random.default_rng(30)
+        for dim, n_out in ((2, 4), (3, 4), (4, 5)):
+            x = rng.normal(size=n_povm_params(dim, n_out))
+            g = (x[: n_out * dim] + 1j * x[n_out * dim:]).reshape(n_out, dim)
+            g[:, -1] = 2.0 * g[:, 0]  # dependent columns: G^dag G is singular
+            g_scaled = g.copy()
+            g_scaled[:, -1] *= 1e-13
+            for singular in (np.zeros_like(g), g, g_scaled, np.full_like(g, np.inf)):
+                xs = cap._complex_params(singular)
+                rows, pull_back = cap._polar_rows(xs, dim, n_out)
+                np.testing.assert_allclose(rows.conj().T @ rows, np.eye(dim), atol=1e-12)
+                Povm(tuple(povm_elements_from_params(xs, dim, n_out)))  # complete
+                np.testing.assert_array_equal(pull_back(rng.normal(size=(n_out, dim))), np.zeros_like(x))
+            # an all-zero input factor is the maximally mixed state, a zero chunk the state e_0
+            a, a_back = cap._density_factor(np.zeros(n_density_params(dim)), dim)
+            np.testing.assert_allclose(a @ a.conj().T, np.eye(dim) / dim, atol=1e-15)
+            np.testing.assert_array_equal(a_back(rng.normal(size=(dim, dim))), 0.0)
+            if dim > 2:
+                xs = rng.normal(size=n_state_params(dim, 2))
+                xs[: 2 * dim] = 0.0
+                vecs, back = cap._signal_vectors(xs, dim, 2)
+                np.testing.assert_array_equal(vecs[0], np.eye(dim)[0])
+                assert np.all(back(rng.normal(size=(2, dim)))[: 2 * dim] == 0.0)
 
     JOINT_BLOCKS = [
         (shannon_capacity, (2, 2), 8 + 16),
-        (measured_input_bound, (2, 2), 10 + 16),
+        (measured_input_bound, (2, 2), 8 + 16),
         (shannon_capacity, (3, 3), 24 + 24),
-        (measured_input_bound, (3, 3), 21 + 24),
+        (measured_input_bound, (3, 3), 18 + 24),
         (shannon_capacity, (2, 3), 8 + 24),
-        (measured_input_bound, (2, 3), 10 + 24),
+        (measured_input_bound, (2, 3), 8 + 24),
     ]
 
     @pytest.mark.parametrize(
@@ -904,29 +916,26 @@ class TestBlochGradients:
     )
     def test_one_joint_solve_per_sweep(self, monkeypatch, estimator, dims, n_params):
         # every sweep is one L-BFGS-B call over all the parameters at the usual
-        # budget, with the closed-form gradient on 2->2 channels only: no split
-        # blocks, and no call after the last sweep
-        if dims == (2, 3):
-            ch = measured_channel(random_channel(2, 2, seed=362), trine_povm())
-        else:
-            ch = random_channel(dims[0], 3, seed=361)
+        # budget, on an objective that returns its gradient: no split blocks,
+        # and no call after the last sweep
+        ch = _channel_of(dims, 361, rank=3)
         assert (ch.dim_in, ch.dim_out) == dims
         log = _block_solves(monkeypatch, estimator, ch, QUICK)
         kinds = "".join("v" if event is None else "s" for event in log)
         assert "s" in kinds and "ss" not in kinds and kinds[0] == kinds[-1] == "v"  # sweep values around solves
-        solves = {(len(x0), maxfev, jac) for _, x0, maxfev, jac in filter(None, log)}
-        assert solves == {(n_params, 60 * n_params, dims == (2, 2))}
+        solves = list(filter(None, log))
+        assert {(len(x0), maxfev) for _, x0, maxfev in solves} == {(n_params, 60 * n_params)}
+        for objective, x0, _ in solves:
+            value, grad = objective(x0)
+            assert np.isfinite(value) and grad.shape == x0.shape and np.all(np.isfinite(grad))
 
-    @pytest.mark.parametrize("jac", [True, False])
-    def test_maximize_keeps_start_on_non_finite_result(self, jac):
-        # L-BFGS-B returns NaN when a value and slope of 1e308 overflow inside
-        # it, and when a finite-difference step leaves the domain, where the
-        # value is -inf, so that the slope is infinite
+    def test_maximize_keeps_start_on_non_finite_result(self):
+        # L-BFGS-B returns NaN when a value and slope of 1e308 overflow inside it
         x0 = np.array([1.0 - 1e-9, -0.2])
 
         def overflowing(v):
             return (-float(v @ v) if np.all(np.abs(v) < 1.0) else -np.inf), np.full_like(v, -1e308)
 
         with np.errstate(all="ignore"):
-            x = cap._maximize(overflowing if jac else (lambda v: overflowing(v)[0]), x0, 100, jac=jac)
+            x = cap._maximize(overflowing, x0, 100)
         np.testing.assert_array_equal(x, x0)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from chancap.channels import matrix_to_json
+from chancap.channels import QuantumChannel, channel_to_json, matrix_to_json, random_channel
 from chancap.cli import EXIT_BOUND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 
 FAST = ["--restarts", "2", "--max-iters", "3", "--tol", "1e-6"]
@@ -145,6 +145,26 @@ class TestAdditivityCommand:
         bound = 3 * result_value(report, "single_copy_capacity")
         assert result_value(report, "conditional_best_depth3") <= bound + 2e-3
 
+    @pytest.mark.parametrize("depth", ["2", "3"])
+    def test_non_qubit_output_rejected(self, capsys, tmp_path, depth):
+        # the conditional stages measure qubit outputs; a qutrit output is a usage error, not a traceback
+        spec = tmp_path / "qutrit.json"
+        spec.write_text(channel_to_json(random_channel(3, 2, seed=1)))
+        code = main(["additivity", str(spec), "--depth", depth] + FAST)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "qubit outputs" in err
+
+    @pytest.mark.parametrize("depth", ["2", "3"])
+    def test_qutrit_input_qubit_output(self, capsys, tmp_path, depth):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
+        spec = tmp_path / "three_to_two.json"
+        spec.write_text(channel_to_json(QuantumChannel((q[:2], q[2:4], q[4:]))))
+        code, report = run(capsys, ["additivity", str(spec), "--depth", depth] + FAST)
+        assert code == EXIT_OK
+        assert all(entry.get("passed", True) for entry in report["results"])
+
 
 class TestSweepCommand:
     def test_endpoint_is_identity(self, capsys, tmp_path):
@@ -229,6 +249,13 @@ class TestConfigValidation:
         code = main(["capacity", identity_spec, "--which", which, "--seed", "-1"])
         assert code == EXIT_INVARIANT
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, cap", [("--povm-cap", "1000000000"), ("--ensemble-cap", "257"), ("--povm-cap", "1")])
+    def test_size_cap_out_of_range(self, capsys, identity_spec, flag, cap):
+        # rejected before any array of that size is allocated
+        code = main(["capacity", identity_spec, flag, cap])
+        assert code == EXIT_INVARIANT
+        assert "size caps" in capsys.readouterr().err
 
     def test_negative_seed_identity_check(self, capsys):
         code = main(["identity-check", "--instances", "1", "--seed", "-1"])
