@@ -23,15 +23,12 @@ from .capacity import (
     n_state_params,
     pure_states_from_params,
     shannon_capacity,
-    _best_of_draws,
-    _best_restart,
     _bloch_angles,
     _bloch_of_angles,
-    _block_ascent,
-    _block_weights,
     _kernel,
     _mi_and_grad,
     _pauli_form,
+    _search,
     _signal_information,
 )
 from .channels import PAULI, Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
@@ -321,45 +318,30 @@ def best_conditional_information(
     def moments_of(xs):
         return _pauli_moments(pure_states_from_params(xs, dim_total, n_states), ops)
 
-    def kernel(xs, xm):
-        return np.maximum(_path_products(_bloch_of_angles(xm)[0], moments_of(xs))[0], 0.0)
+    def kernel(x):  # of the signal then stage-angle parameters
+        return np.maximum(_path_products(_bloch_of_angles(x[ns:])[0], moments_of(x[:ns]))[0], 0.0)
 
-    last = {"w": None}  # weights of the last value call, held fixed inside both blocks of a sweep
+    def state_block(x, w):
+        return _signal_information(w, _stage_effects(_bloch_of_angles(x[ns:])[0], ops), dim_total, n_states)
 
-    def value(xs, xm):
-        c, last["w"] = blahut_arimoto(kernel(xs, xm), tol=1e-9, max_iters=250)
-        return c
+    def start(restart, rng, draw):
+        if restart > 0 or init_strategy is None:
+            return draw(np.ones(ns + nm), n_draws=12)
+        xs = rng.normal(size=ns) if init_ensemble is None else _state_params_of(init_ensemble, dim_total, n_states)
+        return np.concatenate([xs, _strategy_params_of(init_strategy)])
 
-    def state_block(_, xm):
-        effects = _stage_effects(_bloch_of_angles(xm)[0], ops)
-        return _signal_information(_block_weights(last["w"]), effects, dim_total, n_states)
+    def finish(x, *_):
+        c, weights = blahut_arimoto(kernel(x), tol=1e-10, max_iters=3000)
+        return c, (Ensemble(weights, tuple(pure_states_from_params(x[:ns], dim_total, n_states))), x[ns:])
 
-    def strategy_block(xs, _):
-        return _strategy_information(_block_weights(last["w"]), moments_of(xs))
-
-    def run(restart, rng):
-        if restart == 0 and init_strategy is not None:
-            xm = _strategy_params_of(init_strategy)
-            xs = (
-                _state_params_of(init_ensemble, dim_total, n_states)
-                if init_ensemble is not None
-                else rng.normal(scale=1.0, size=ns)
-            )
-        else:
-            cat = _best_of_draws(
-                lambda v: value(v[:ns], v[ns:]),
-                lambda r: np.concatenate([r.normal(scale=1.0, size=ns), r.normal(size=nm)]),
-                rng,
-                n_draws=12,
-            )
-            xs, xm = cat[:ns], cat[ns:]
-
-        (xs, xm), _, _ = _block_ascent([xs, xm], value, [state_block, strategy_block], cfg, maxfev_per_param=50)
-
-        c, weights = blahut_arimoto(kernel(xs, xm), tol=1e-10, max_iters=3000)
-        return c, (Ensemble(weights, tuple(pure_states_from_params(xs, dim_total, n_states))), xm)
-
-    _, (ens, xm), _ = _best_restart(run, cfg)
+    (ens, xm), _ = _search(
+        cfg,
+        lambda x, _: blahut_arimoto(kernel(x), tol=1e-9, max_iters=250),  # cold: warm starts move depth-3 values
+        [(slice(ns), state_block), (slice(ns, None), lambda x, w: _strategy_information(w, moments_of(x[:ns])))],
+        start,
+        finish,
+        maxfev_per_param=50,
+    )
     strat = _strategy_from_params(xm, depth)
     exact = mutual_information(ens, flatten(dual_conditional(channels, strat)))
     return exact, ens, strat

@@ -279,7 +279,8 @@ def _signal_vectors(x: np.ndarray, dim: int, n: int):
         return v, pull_back
     chunks = x[: 2 * dim * n].reshape(n, 2, dim)
     u = chunks[:, 0] + 1j * chunks[:, 1]
-    norms = np.array([np.linalg.norm(w) for w in u])  # norm(u, axis=1) sums in another order
+    re, im = u.real, u.imag  # strided views: the products then round as norm() of each row does
+    norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
     v, unit_back = _unit_rows(u, norms, np.eye(dim)[0])
 
     def pull_back(g):
@@ -577,55 +578,82 @@ def _maximize(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
     return res.x if np.all(np.isfinite(res.x)) else x0
 
 
-def _block_ascent(blocks, sweep_value, block_objectives, cfg: OptimizerConfig, maxfev_per_param: int = 60):
-    """Alternating ascent over parameter blocks.
+def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param: int = 60):
+    """Alternating ascent over blocks of the parameters ``x``.
 
-    ``block_objectives[i](*blocks)`` returns an objective of block i alone,
-    built with the other blocks held, that returns (value, gradient).  A
-    sweep maximises each block's objective in turn, then takes
-    ``sweep_value(*blocks)``; the search stops once a sweep gains less than
+    ``blocks`` are (slice, make) pairs: ``make(x)`` returns the objective of
+    ``x[slice]`` alone, built with the rest of ``x`` held, that returns (value,
+    gradient).  A sweep maximises each block's objective in turn, then takes
+    ``sweep_value(x)``; the search stops once a sweep gains less than
     ``cfg.tol``.  With one block of all parameters a sweep is one joint solve.
-    Returns the blocks, the best sweep value and whether that test (rather
+    Returns the parameters, the best sweep value and whether that test (rather
     than ``cfg.max_iters``) ended the search.
     """
-    blocks = list(blocks)
-    current = sweep_value(*blocks)
+    x = np.array(x, dtype=float)
+    current = sweep_value(x)
     for _ in range(cfg.max_iters):
-        for i, make_objective in enumerate(block_objectives):
-            blocks[i] = _maximize(make_objective(*blocks), blocks[i], maxfev_per_param * len(blocks[i]))
-        value = sweep_value(*blocks)
+        for part, make in blocks:
+            x[part] = _maximize(make(x), x[part], maxfev_per_param * len(x[part]))
+        value = sweep_value(x)
         improved = value - current
         current = max(value, current)
         if improved < cfg.tol:
-            return blocks, current, True
-    return blocks, current, False
+            return x, current, True
+    return x, current, False
 
 
-def _best_restart(run, cfg: OptimizerConfig, ceiling: float = np.inf):
-    """Best ``(value, point) = run(restart, rng)`` over ``cfg.restarts`` seeded restarts.
+# Least weight a signal carries into the block objectives: an exact weight
+# solve drops signals to weight 0, where the blocks give them no slope to
+# come back.  Sweep values and warm starts keep the exact weights.
+_BLOCK_WEIGHT_FLOOR = 1e-6
 
-    No further restart runs once the best value is within 1e-11 of ``ceiling``.
-    Returns the best value, its point and the number of restarts run.
+
+def _block_weights(weights: np.ndarray) -> np.ndarray:
+    floored = np.maximum(weights, _BLOCK_WEIGHT_FLOOR)
+    return floored / floored.sum()
+
+
+def _search(cfg: OptimizerConfig, value, blocks, start, finish, ceiling: float = np.inf, maxfev_per_param: int = 60):
+    """Best of ``cfg.restarts`` seeded restarts of one block ascent; each estimator states only its problem.
+
+    - ``value(x, w)`` returns (sweep value, inner weights) at parameters x,
+      where w holds the weights of the restart's last call (None at its first).
+    - ``blocks`` are (slice, make) pairs: ``make(x, w)`` returns the block's
+      objective (see ``_block_ascent``) at the last weights, floored by
+      ``_block_weights`` (None while there are none).
+    - ``start(restart, rng, draw)`` returns the restart's start; ``draw(scales,
+      n_draws)`` is the best of random normal draws of these per-entry scales
+      under ``value``.
+    - ``finish(x, sweep_value, converged)`` returns (rank, result) at the end
+      of a restart.
+
+    Each restart draws from ``default_rng([cfg.seed, restart])``, and no
+    further restart runs once the best rank is within 1e-11 of ``ceiling``.
+    Returns the result of the best rank (the first of equals) and the number
+    of restarts run.
     """
-    best = None
+    rng, weights, best = None, None, None  # the restart's generator and last weights, the best (rank, result)
+
+    def sweep_value(x):
+        nonlocal weights
+        v, weights = value(x, weights)
+        return v
+
+    def draw(scales, n_draws=24):  # cheap basin selection: the first best of a few random starts
+        return max((rng.normal(scale=scales) for _ in range(n_draws)), key=sweep_value)
+
+    def held(make):
+        return lambda x: make(x, None if weights is None else _block_weights(weights))
+
+    blocks = [(part, held(make)) for part, make in blocks]
     for restart in range(cfg.restarts):
         if best is not None and best[0] >= ceiling - 1e-11:
-            return best + (restart,)
-        value, point = run(restart, np.random.default_rng([cfg.seed, restart]))
-        if best is None or value > best[0]:
-            best = (value, point)
-    return best + (cfg.restarts,)
-
-
-def _best_of_draws(objective, draw, rng: np.random.Generator, n_draws: int = 24) -> np.ndarray:
-    """Cheap basin selection: evaluate a handful of random starts, keep the best."""
-    best_x, best_v = None, -np.inf
-    for _ in range(n_draws):
-        x = draw(rng)
-        v = objective(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x
+            return best[1], restart
+        rng, weights = np.random.default_rng([cfg.seed, restart]), None
+        ranked = finish(*_block_ascent(start(restart, rng, draw), sweep_value, blocks, cfg, maxfev_per_param))
+        if best is None or ranked[0] > best[0]:
+            best = ranked
+    return best[1], cfg.restarts
 
 
 _CANONICAL_ANGLES = {
@@ -665,11 +693,11 @@ def _state_inits(dim: int, n: int, restart: int) -> np.ndarray:
     return x
 
 
-def _signal_inits(dim: int, n: int, restart: int, rng: np.random.Generator, value) -> np.ndarray:
-    """Canonical signals for the first restarts, then the best random draw under ``value``."""
+def _signal_inits(dim: int, n: int, restart: int, draw) -> np.ndarray:
+    """Canonical signals for the first restarts, then ``_search``'s best random draw."""
     if restart < _n_canonical_inits(dim):
         return _state_inits(dim, n, restart)
-    return _best_of_draws(value, lambda r: r.normal(scale=1.5, size=n_state_params(dim, n)), rng)
+    return draw(np.full(n_state_params(dim, n), 1.5))
 
 
 def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) -> np.ndarray:
@@ -692,17 +720,6 @@ def _povm_inits(dim: int, n_out: int, rng: np.random.Generator, restart: int) ->
 # Shannon capacity
 # ---------------------------------------------------------------------------
 
-# Least weight a signal carries into the block objectives: an exact weight
-# solve drops signals to weight 0, where the blocks give them no slope to
-# come back.  Sweep values and warm starts keep the exact weights.
-_BLOCK_WEIGHT_FLOOR = 1e-6
-
-
-def _block_weights(weights: np.ndarray) -> np.ndarray:
-    floored = np.maximum(weights, _BLOCK_WEIGHT_FLOOR)
-    return floored / floored.sum()
-
-
 def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible mutual information over ensembles and product POVMs.
 
@@ -719,46 +736,33 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     dual = _dual_matrix(ch)
     qubit = (din, dout) == (2, 2)
 
-    def effects_of(xm):
-        return povm_elements_from_params(xm, dout, n_out).reshape(n_out, -1) @ dual
+    def kernel_of(cat):  # of the signal then POVM parameters
+        states = pure_states_from_params(cat[:ns], din, n_states)
+        return _kernel(states, povm_elements_from_params(cat[ns:], dout, n_out).reshape(n_out, -1) @ dual)
 
-    def run(restart, rng):
-        warm = {"w": None}
+    def start(restart, rng, draw):
+        if restart == 0 and qubit:  # the coarse grid scan's best two-point configuration
+            return np.concatenate(_witness_inits(ch, n_states, n_out)[:2])
+        if restart < _n_canonical_inits(din):
+            return np.concatenate([_state_inits(din, n_states, restart), _povm_inits(dout, n_out, rng, restart)])
+        return draw(np.concatenate([np.full(ns, 1.5), np.ones(n_povm_params(dout, n_out))]))
 
-        def ba_value(cat_):  # of the signal then POVM parameters
-            kern = _kernel(pure_states_from_params(cat_[:ns], din, n_states), effects_of(cat_[ns:]))
-            c, w = blahut_arimoto(kern, tol=1e-9, max_iters=250, init_weights=warm["w"])
-            warm["w"] = w
-            return c
-
-        if restart == 0 and qubit:
-            # start from the coarse grid scan's best two-point configuration
-            cat = np.concatenate(_witness_inits(ch, n_states, n_out)[:2])
-        elif restart < _n_canonical_inits(din):
-            cat = np.concatenate([_state_inits(din, n_states, restart), _povm_inits(dout, n_out, rng, restart)])
-        else:
-            cat = _best_of_draws(
-                ba_value,
-                lambda r: np.concatenate(
-                    [r.normal(scale=1.5, size=ns), r.normal(size=n_povm_params(dout, n_out))]
-                ),
-                rng,
-            )
-
-        def joint_block(_):  # weights from the sweep-start kernel stay fixed inside the block
-            return _shannon_objective(dual, _block_weights(warm["w"]), (din, dout), n_states, n_out)
-
-        (cat,), _, converged = _block_ascent([cat], ba_value, [joint_block], cfg)
-
+    def finish(cat, _, converged):
         states = pure_states_from_params(cat[:ns], din, n_states)
         elements = povm_elements_from_params(cat[ns:], dout, n_out)
         _, weights = blahut_arimoto(_kernel(states, elements.reshape(n_out, -1) @ dual), tol=1e-10, max_iters=3000)
-        ensemble = Ensemble(weights, tuple(states))
-        povm = Povm(tuple(elements))
+        ensemble, povm = Ensemble(weights, tuple(states)), Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
         return value, CapacityResult(value, ensemble, povm, converged=converged)
 
-    _, best, runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
+    best, runs = _search(
+        cfg,
+        lambda cat, w: blahut_arimoto(kernel_of(cat), tol=1e-9, max_iters=250, init_weights=w),
+        [(slice(None), lambda _, w: _shannon_objective(dual, w, (din, dout), n_states, n_out))],
+        start,
+        finish,
+        ceiling=np.log2(min(din, dout)),
+    )
     return replace(best, restarts_used=runs)
 
 
@@ -782,32 +786,23 @@ def fixed_measurement_capacity(
         din = dim if dim is not None else m.dim
     n_states = max(cfg.ensemble_size_cap, 2)
 
-    def run(restart, rng):
-        warm = {"w": None}
-
-        def ba_value(xs_):
-            kern = _kernel(pure_states_from_params(xs_, din, n_states), effects)
-            c, w = blahut_arimoto(kern, tol=1e-9, max_iters=250, init_weights=warm["w"])
-            warm["w"] = w
-            return c
-
-        xs = _signal_inits(din, n_states, restart, rng, ba_value)
-
-        def signal_block(_):
-            return _signal_information(_block_weights(warm["w"]), effects, din, n_states)
-
-        (xs,), _, converged = _block_ascent([xs], ba_value, [signal_block], cfg)
-
+    def finish(xs, _, converged):
         states = pure_states_from_params(xs, din, n_states)
         _, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000)
         ensemble = Ensemble(weights, tuple(states))
-        if ch is not None:
-            value = channel_mutual_information(ch, ensemble, m)
-        else:
-            value = mutual_information(ensemble, m)
+        value = mutual_information(ensemble, m) if ch is None else channel_mutual_information(ch, ensemble, m)
         return value, CapacityResult(value, ensemble, m, converged=converged)
 
-    _, best, runs = _best_restart(run, cfg, ceiling=min(np.log2(din), np.log2(len(m.elements))))
+    best, runs = _search(
+        cfg,
+        lambda xs, w: blahut_arimoto(
+            _kernel(pure_states_from_params(xs, din, n_states), effects), tol=1e-9, max_iters=250, init_weights=w
+        ),
+        [(slice(None), lambda _, w: _signal_information(w, effects, din, n_states))],
+        lambda restart, rng, draw: _signal_inits(din, n_states, restart, draw),
+        finish,
+        ceiling=min(np.log2(din), np.log2(len(m.elements))),
+    )
     return replace(best, restarts_used=runs)
 
 
@@ -870,28 +865,20 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         states = pure_states_from_params(xs_, din, n_states).reshape(n_states, -1)
         return (states @ channel).reshape(n_states, dout, dout)
 
-    def run(restart, rng):
-        warm = {"w": None}
-
-        def chi_value(xs_):
-            c, w = max_holevo_weights(outputs_of(xs_), tol=1e-9, max_iters=250, init_weights=warm["w"])
-            warm["w"] = w
-            return c
-
-        xs = _signal_inits(din, n_states, restart, rng, chi_value)
-
-        def signal_block(_):
-            return _holevo_objective(dual, _block_weights(warm["w"]), (din, dout), n_states)
-
-        (xs,), _, converged = _block_ascent([xs], chi_value, [signal_block], cfg)
-
-        states = pure_states_from_params(xs, din, n_states)
+    def finish(xs, _, converged):
         _, weights = max_holevo_weights(outputs_of(xs), tol=1e-11, max_iters=3000)
-        ensemble = Ensemble(weights, tuple(states))
+        ensemble = Ensemble(weights, tuple(pure_states_from_params(xs, din, n_states)))
         value = holevo_information(ch, ensemble)
         return value, CapacityResult(value, ensemble, converged=converged)
 
-    _, best, runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
+    best, runs = _search(
+        cfg,
+        lambda xs, w: max_holevo_weights(outputs_of(xs), tol=1e-9, max_iters=250, init_weights=w),
+        [(slice(None), lambda _, w: _holevo_objective(dual, w, (din, dout), n_states))],
+        lambda restart, rng, draw: _signal_inits(din, n_states, restart, draw),
+        finish,
+        ceiling=np.log2(min(din, dout)),
+    )
     return replace(best, restarts_used=runs)
 
 
@@ -915,35 +902,28 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
     qubit = (din, dout) == (2, 2)
     joint = _measured_input_objective(_dual_matrix(ch), (din, dout), n_out)
 
-    def value_of(cat):
-        return joint(cat)[0]
-
-    def run(restart, rng):
+    def start(restart, rng, draw):
         if restart == 0 and qubit:
             # the coarse grid scan's witness: the weighted two-point average
             # input with its best projective readout
             _, xm, xr = _witness_inits(ch, 2, n_out)
-            cat = np.concatenate([xr, xm])
-        elif restart == 0 or (restart == 1 and qubit):
+            return np.concatenate([xr, xm])
+        if restart == 0 or (restart == 1 and qubit):
             # maximally mixed input (a = I, since a = 0 is a fallback point
             # without slope); readout along the channel ellipsoid's dominant
             # output axis when available, the basis otherwise
-            xr = _complex_params(np.eye(din))
-            cat = np.concatenate([xr, _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)])
-        else:
-            cat = _best_of_draws(
-                value_of,
-                lambda r: np.concatenate(
-                    [r.normal(scale=0.8, size=nr), r.normal(size=n_povm_params(dout, n_out))]
-                ),
-                rng,
-                n_draws=32,
-            )
+            xm = _ellipsoid_povm_init(ch, n_out) if qubit else _povm_inits(dout, n_out, rng, 0)
+            return np.concatenate([_complex_params(np.eye(din)), xm])
+        return draw(np.concatenate([np.full(nr, 0.8), np.ones(n_povm_params(dout, n_out))]), n_draws=32)
 
-        (cat,), value, converged = _block_ascent([cat], value_of, [lambda _: joint], cfg)
-        return value, (cat, converged)
-
-    _, (best_x, best_conv), runs = _best_restart(run, cfg, ceiling=np.log2(min(din, dout)))
+    (best_x, best_conv), runs = _search(
+        cfg,
+        lambda cat, _: (joint(cat)[0], None),
+        [(slice(None), lambda *_: joint)],
+        start,
+        lambda cat, value, converged: (value, (cat, converged)),
+        ceiling=np.log2(min(din, dout)),
+    )
     rho = density_from_params(best_x[:nr], din)
     povm = Povm(tuple(povm_elements_from_params(best_x[nr:], dout, n_out)))
     return CapacityResult(measured_input_information(ch, rho, povm), None, povm, frozen(rho), runs, best_conv)

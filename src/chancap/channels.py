@@ -352,9 +352,15 @@ def load_channel(text: str) -> QuantumChannel:
             raise ChannelSpecError(f"kind '{kind}' requires field '{fieldname}'")
         return spec[fieldname]
 
+    def dim() -> int:  # a JSON integer within the total-dimension scope
+        value = spec.get("dim", 2)
+        if type(value) is not int or not 1 <= value <= 16:
+            raise ChannelSpecError(f"kind '{kind}': 'dim' must be an integer in [1, 16]")
+        return value
+
     try:
         if kind == "identity":
-            return identity_channel(int(spec.get("dim", 2)))
+            return identity_channel(dim())
         if kind == "depolarizing":
             return depolarizing_channel(float(need("p")))
         if kind == "amplitude-damping":
@@ -364,7 +370,7 @@ def load_channel(text: str) -> QuantumChannel:
         if kind == "bit-flip":
             return bit_flip_channel(float(need("p")))
         if kind == "completely-noisy":
-            return completely_noisy_channel(int(spec.get("dim", 2)))
+            return completely_noisy_channel(dim())
         if kind == "unitary":
             return unitary_channel(_matrix_from_json(need("matrix"), "matrix"))
         if kind == "kraus":

@@ -59,6 +59,7 @@ EXIT_INVARIANT = 2
 EXIT_BOUND = 3
 
 MAX_SWEEP_POINTS = 10_000
+MAX_JSON_INDENT = 16
 
 _FAMILIES = {
     "depolarizing": depolarizing_channel,
@@ -93,8 +94,7 @@ def _report(command: str, digest: str, cfg: OptimizerConfig, results: list, seed
 
 
 def _emit(report: dict, args) -> None:
-    indent = args.json_indent if args.json_indent > 0 else None
-    sys.stdout.write(json.dumps(report, indent=indent) + "\n")
+    sys.stdout.write(json.dumps(report, indent=args.json_indent or None) + "\n")
 
 
 def _bloch_coordinates(state: np.ndarray) -> list[float]:
@@ -269,16 +269,13 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     params = [round(args.start + i * args.step, 12) for i in range(math.floor(max(span, -1.0)) + 1)]
 
+    estimators = {"shannon": shannon_capacity, "holevo": holevo_capacity, "uep": measured_input_bound}
     rows = []
     for p in params:
         ch = family(p)
-        row = {"param": p, "shannon": float("nan"), "holevo": float("nan"), "uep": float("nan")}
-        if args.which in ("shannon", "all"):
-            row["shannon"] = shannon_capacity(ch, cfg).value
-        if args.which in ("holevo", "all"):
-            row["holevo"] = holevo_capacity(ch, cfg).value
-        if args.which in ("uep", "all"):
-            row["uep"] = measured_input_bound(ch, cfg).value
+        row = {"param": p}
+        for name, estimate in estimators.items():
+            row[name] = estimate(ch, cfg).value if args.which in (name, "all") else float("nan")
         gap = row["holevo"] - row["shannon"]
         row["holevo_minus_shannon"] = gap
         row["strict_gap"] = int(gap > 1e-3) if np.isfinite(gap) else 0
@@ -342,11 +339,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _int_in(low: int, high: float):
+    """An argparse type: an integer in [low, high]."""
+    def integer(text: str) -> int:  # argparse names it in its message for a non-integer
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [{low}, {high}]")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--ensemble-cap", type=int, default=4, dest="ensemble_cap")
         p.add_argument("--povm-cap", type=int, default=4, dest="povm_cap")
-        p.add_argument("--json-indent", type=int, default=0, dest="json_indent")
+        p.add_argument("--json-indent", type=_int_in(0, MAX_JSON_INDENT), default=0, dest="json_indent")
 
     p = sub.add_parser("capacity", help="capacity estimates for one channel")
     p.add_argument("channel", help="channel specification JSON file")
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("identity-check", help="randomised two-stage information identity check")
-    p.add_argument("--instances", type=_positive_int, default=1000)
+    p.add_argument("--instances", type=_int_in(1, math.inf), default=1000)
     p.add_argument("--inject-fault", action="store_true", help="corrupt a POVM to exercise the error path")
     common(p)
     p.set_defaults(func=cmd_identity_check)

@@ -658,6 +658,69 @@ class TestConverged:
         assert fixed_measurement_capacity(ch, basis_povm(2), QUICK).converged is True
 
 
+class TestSearch:
+    """``_search``, the estimators' restart loop, on a toy concave problem: -|x - 1|^2 in two blocks."""
+
+    @staticmethod
+    def problem(starts, log):
+        """(value, blocks, start) of the toy problem; ``log`` records the starts, the weights each
+        value call takes and returns (a fresh pair per call), and the weights each block takes."""
+        def value(x, w):
+            out = np.array([0.0, len(log) + 1.0])
+            log.append(("value", w, out))
+            return -float(np.sum((x - 1.0) ** 2)), out
+
+        def make(part):
+            def block(x, w):
+                log.append(("block", w))
+                return lambda v: (-float(np.sum((v - 1.0) ** 2)), -2.0 * (v - 1.0))
+
+            return part, block
+
+        def start(restart, rng, draw):
+            log.append(("start", restart))
+            return draw(np.array([1.0, 2.0, 3.0, 4.0]), n_draws=3) if starts[restart] is None else starts[restart]
+
+        return value, [make(slice(2)), make(slice(2, None))], start
+
+    def test_weights_never_leak_between_restarts(self):
+        log = []
+        value, blocks, start = self.problem([None, np.zeros(4), None], log)
+        cfg = OptimizerConfig(restarts=3, max_iters=2, tol=1e-9, seed=5)
+        cap._search(cfg, value, blocks, start, lambda x, v, conv: (v, x))
+        assert [event[1] for event in log if event[0] == "start"] == [0, 1, 2]
+        last = None  # the weights of the restart's last value call: draws and sweeps both count
+        for i, event in enumerate(log):
+            if event[0] == "start":
+                assert log[i + 1][:2] == ("value", None)
+                last = None
+            elif event[0] == "value":
+                assert event[1] is last
+                last = event[2]
+            else:  # the blocks take them floored and renormalised
+                np.testing.assert_array_equal(event[1], cap._block_weights(last))
+                assert event[1][0] > 0.0
+
+    def test_ceiling_stops_restarts(self):
+        log = []
+        value, blocks, start = self.problem([np.zeros(4), np.ones(4), np.zeros(4), np.zeros(4)], log)
+        cfg = OptimizerConfig(restarts=4, max_iters=0, tol=1e-9, seed=5)
+        result, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv: (v, (x, conv)), ceiling=0.0)
+        assert runs == 2 and [event[1] for event in log if event[0] == "start"] == [0, 1]
+        np.testing.assert_array_equal(result[0], np.ones(4))
+        assert result[1] is False  # no sweep: the tolerance test never ran
+        _, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv: (v, x), ceiling=1.0)
+        assert runs == 4
+
+    def test_best_rank_wins(self):
+        value, blocks, start = self.problem([np.zeros(4)] * 5, [])
+        cfg = OptimizerConfig(restarts=5, max_iters=3, tol=1e-9, seed=5)
+        ranks = iter([0.5, 2.0, -1.0, 2.0, 1.0])
+        results = iter(range(5))
+        best, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv: (next(ranks), (next(results), conv)))
+        assert best == (1, True) and runs == 5  # the first of the equal best ranks, and converged sweeps
+
+
 MATRIX_DIMS = [(2, 2), (3, 3), (4, 4), (2, 3)]
 
 

@@ -254,6 +254,15 @@ class TestLoadChannel:
         assert ch.dim_in == ch.dim_out == 2
         assert len(ch.kraus) == 1
 
+    @pytest.mark.parametrize("kind", ["identity", "completely-noisy"])
+    def test_dim_is_an_integer_in_scope(self, kind):
+        assert load_channel(f'{{"kind": "{kind}"}}').dim_in == 2  # the default
+        for dim in (1, 16):
+            assert load_channel(f'{{"kind": "{kind}", "dim": {dim}}}').dim_out == dim
+        for dim in ("2.7", "2.0", "true", '"3"', "null", "[2]", "0", "-1", "17"):  # no array is built for 17
+            with pytest.raises(ChannelSpecError, match=r"'dim' must be an integer in \[1, 16\]"):
+                load_channel(f'{{"kind": "{kind}", "dim": {dim}}}')
+
     def test_depolarizing_zero_is_identity(self):
         ch = load_channel('{"kind": "depolarizing", "p": 0.0}')
         rho = random_density_matrix(2, np.random.default_rng(22))

@@ -257,6 +257,17 @@ class TestConfigValidation:
         assert code == EXIT_INVARIANT
         assert "size caps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("indent", ["17", "1000000000", "-1"])
+    def test_json_indent_out_of_range(self, capsys, identity_spec, indent):
+        # rejected while parsing, before any report is written
+        assert main(["channel-info", identity_spec, "--json-indent", indent]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--json-indent" in captured.err
+
+    def test_json_indent_at_the_bound(self, capsys, identity_spec):
+        assert main(["channel-info", identity_spec, "--json-indent", "16"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("{\n" + " " * 16 + '"command"')
+
     def test_negative_seed_identity_check(self, capsys):
         code = main(["identity-check", "--instances", "1", "--seed", "-1"])
         assert code == EXIT_INVARIANT
@@ -277,6 +288,15 @@ class TestChannelInfoCommand:
         spec.write_text('{"kind": "kraus", "operators": [[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}')
         assert main(["channel-info", str(spec)]) == EXIT_INVARIANT
         assert "Kraus operator 0 has a non-finite entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["identity", "completely-noisy"])
+    @pytest.mark.parametrize("dim", ["0", "17", "2.7", "true", '"3"'])
+    def test_dim_outside_scope_is_a_spec_error(self, capsys, tmp_path, kind, dim):
+        # one exit code for both kinds; 17 is rejected before any array is built
+        spec = tmp_path / "dim.json"
+        spec.write_text(f'{{"kind": "{kind}", "dim": {dim}}}')
+        assert main(["channel-info", str(spec)]) == EXIT_USAGE
+        assert "'dim' must be an integer in [1, 16]" in capsys.readouterr().err
 
     def test_reports_shape(self, capsys, identity_spec):
         code, report = run(capsys, ["channel-info", identity_spec])
