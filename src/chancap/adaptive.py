@@ -330,7 +330,7 @@ def best_conditional_information(
         xs = rng.normal(size=ns) if init_ensemble is None else _state_params_of(init_ensemble, dim_total, n_states)
         return np.concatenate([xs, _strategy_params_of(init_strategy)])
 
-    def finish(x, *_):
+    def finish(x, *_):  # cold, like the sweep solves
         c, weights = blahut_arimoto(kernel(x), tol=1e-10, max_iters=3000)
         return c, (Ensemble(weights, tuple(pure_states_from_params(x[:ns], dim_total, n_states))), x[ns:])
 

@@ -13,10 +13,19 @@ unconstrained parameters, at every dimension: Bloch angles or normalised
 vectors for pure signals, the polar factor of a complex matrix for the POVM,
 and a a^dag for the input.  Each block objective returns its value with the
 gradient pulled back through these maps in reverse mode, and every block is
-one L-BFGS-B solve on that gradient.  The Shannon and measured-input
-searches solve all their parameters in one block per sweep.  L-BFGS-B stops
-at once when started exactly at a stationary point, such as equatorial
-signals under a z-basis readout; the other restarts cover that case.
+one L-BFGS-B solve on that gradient.  L-BFGS-B stops at once when started
+exactly at a stationary point, such as equatorial signals under a z-basis
+readout; the other restarts cover that case.
+
+The searches with inner weights (Shannon, fixed-measurement, Holevo and the
+adaptive one) sweep: each sweep solves the blocks at the last exact weights,
+then re-solves the weights, until a sweep gains less than the tolerance.
+The Shannon search solves all its parameters in one block per sweep.  The
+measured-input search has no inner weights, so its objective never changes
+and each restart is one joint L-BFGS-B solve, repeated only while a solve
+stops at its evaluation cap; its ``converged`` is the solver's own stop.
+Each restart ends with a tighter weight solve started from the restart's
+last weights (the adaptive search starts it cold).
 """
 
 from __future__ import annotations
@@ -564,10 +573,12 @@ def minimize(fun, x0, **options):
     return scipy_minimize(fun, x0, **options)
 
 
-def _maximize(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
+def _maximize(fun, x0: np.ndarray, maxfev: int):
     """Local maximiser of ``fun`` from ``x0`` by L-BFGS-B, within ``maxfev`` evaluations.
 
-    ``fun`` returns (value, gradient).  A non-finite result returns ``x0``.
+    ``fun`` returns (value, gradient).  Returns (x, value at x, stopped),
+    where ``stopped`` says that L-BFGS-B ended on its own tests rather than
+    at the evaluation cap.  A non-finite result returns ``x0`` and its value.
     """
     def negated(v):
         value, grad = fun(v)
@@ -575,7 +586,9 @@ def _maximize(fun, x0: np.ndarray, maxfev: int) -> np.ndarray:
 
     x0 = np.asarray(x0, dtype=float)
     res = minimize(negated, x0, jac=True, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
-    return res.x if np.all(np.isfinite(res.x)) else x0
+    if not np.all(np.isfinite(res.x)):
+        return x0, fun(x0)[0], res.status != 1
+    return res.x, -float(res.fun), res.status != 1
 
 
 def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param: int = 60):
@@ -586,14 +599,27 @@ def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param
     gradient).  A sweep maximises each block's objective in turn, then takes
     ``sweep_value(x)``; the search stops once a sweep gains less than
     ``cfg.tol``.  With one block of all parameters a sweep is one joint solve.
-    Returns the parameters, the best sweep value and whether that test (rather
-    than ``cfg.max_iters``) ended the search.
+    Without a ``sweep_value`` (no inner weights) the one block's objective
+    does not change between solves, so the search is one solve, followed by
+    another only while a solve stops at its evaluation cap, up to
+    ``cfg.max_iters`` solves; its value is the last solve's (the start's
+    when there is none).  Returns the parameters, the best value and whether
+    a stopping test (the sweep gain, or the solver's own) rather than
+    ``cfg.max_iters`` ended the search.
     """
     x = np.array(x, dtype=float)
+    if sweep_value is None:
+        ((part, make),) = blocks
+        objective, value, stopped = make(x), None, False
+        for _ in range(cfg.max_iters):
+            x[part], value, stopped = _maximize(objective, x[part], maxfev_per_param * len(x[part]))
+            if stopped:
+                break
+        return x, objective(x[part])[0] if value is None else value, stopped
     current = sweep_value(x)
     for _ in range(cfg.max_iters):
         for part, make in blocks:
-            x[part] = _maximize(make(x), x[part], maxfev_per_param * len(x[part]))
+            x[part] = _maximize(make(x), x[part], maxfev_per_param * len(x[part]))[0]
         value = sweep_value(x)
         improved = value - current
         current = max(value, current)
@@ -618,14 +644,17 @@ def _search(cfg: OptimizerConfig, value, blocks, start, finish, ceiling: float =
 
     - ``value(x, w)`` returns (sweep value, inner weights) at parameters x,
       where w holds the weights of the restart's last call (None at its first).
+      A search without inner weights passes None: it has one block, and each
+      restart is its L-BFGS-B solve (see ``_block_ascent``).
     - ``blocks`` are (slice, make) pairs: ``make(x, w)`` returns the block's
       objective (see ``_block_ascent``) at the last weights, floored by
       ``_block_weights`` (None while there are none).
     - ``start(restart, rng, draw)`` returns the restart's start; ``draw(scales,
       n_draws)`` is the best of random normal draws of these per-entry scales
-      under ``value``.
-    - ``finish(x, sweep_value, converged)`` returns (rank, result) at the end
-      of a restart.
+      under ``value``, or under the block objective when there is none.
+    - ``finish(x, value, converged, w)`` returns (rank, result) at the end of
+      a restart; w holds the restart's last weights, so that its final
+      weight solve can start from them.
 
     Each restart draws from ``default_rng([cfg.seed, restart])``, and no
     further restart runs once the best rank is within 1e-11 of ``ceiling``.
@@ -639,18 +668,27 @@ def _search(cfg: OptimizerConfig, value, blocks, start, finish, ceiling: float =
         v, weights = value(x, weights)
         return v
 
-    def draw(scales, n_draws=24):  # cheap basin selection: the first best of a few random starts
-        return max((rng.normal(scale=scales) for _ in range(n_draws)), key=sweep_value)
-
     def held(make):
         return lambda x: make(x, None if weights is None else _block_weights(weights))
 
     blocks = [(part, held(make)) for part, make in blocks]
+    if value is None:
+        ((part, make),) = blocks
+        sweep_value = None
+
+        def score(x):
+            return make(x)(x[part])[0]
+    else:
+        score = sweep_value
+
+    def draw(scales, n_draws=24):  # cheap basin selection: the first best of a few random starts
+        return max((rng.normal(scale=scales) for _ in range(n_draws)), key=score)
+
     for restart in range(cfg.restarts):
         if best is not None and best[0] >= ceiling - 1e-11:
             return best[1], restart
         rng, weights = np.random.default_rng([cfg.seed, restart]), None
-        ranked = finish(*_block_ascent(start(restart, rng, draw), sweep_value, blocks, cfg, maxfev_per_param))
+        ranked = finish(*_block_ascent(start(restart, rng, draw), sweep_value, blocks, cfg, maxfev_per_param), weights)
         if best is None or ranked[0] > best[0]:
             best = ranked
     return best[1], cfg.restarts
@@ -747,10 +785,11 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
             return np.concatenate([_state_inits(din, n_states, restart), _povm_inits(dout, n_out, rng, restart)])
         return draw(np.concatenate([np.full(ns, 1.5), np.ones(n_povm_params(dout, n_out))]))
 
-    def finish(cat, _, converged):
+    def finish(cat, _, converged, w):
         states = pure_states_from_params(cat[:ns], din, n_states)
         elements = povm_elements_from_params(cat[ns:], dout, n_out)
-        _, weights = blahut_arimoto(_kernel(states, elements.reshape(n_out, -1) @ dual), tol=1e-10, max_iters=3000)
+        kernel = _kernel(states, elements.reshape(n_out, -1) @ dual)
+        _, weights = blahut_arimoto(kernel, tol=1e-10, max_iters=3000, init_weights=w)
         ensemble, povm = Ensemble(weights, tuple(states)), Povm(tuple(elements))
         value = channel_mutual_information(ch, ensemble, povm)
         return value, CapacityResult(value, ensemble, povm, converged=converged)
@@ -786,9 +825,9 @@ def fixed_measurement_capacity(
         din = dim if dim is not None else m.dim
     n_states = max(cfg.ensemble_size_cap, 2)
 
-    def finish(xs, _, converged):
+    def finish(xs, _, converged, w):
         states = pure_states_from_params(xs, din, n_states)
-        _, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000)
+        _, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000, init_weights=w)
         ensemble = Ensemble(weights, tuple(states))
         value = mutual_information(ensemble, m) if ch is None else channel_mutual_information(ch, ensemble, m)
         return value, CapacityResult(value, ensemble, m, converged=converged)
@@ -865,8 +904,8 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         states = pure_states_from_params(xs_, din, n_states).reshape(n_states, -1)
         return (states @ channel).reshape(n_states, dout, dout)
 
-    def finish(xs, _, converged):
-        _, weights = max_holevo_weights(outputs_of(xs), tol=1e-11, max_iters=3000)
+    def finish(xs, _, converged, w):
+        _, weights = max_holevo_weights(outputs_of(xs), tol=1e-11, max_iters=3000, init_weights=w)
         ensemble = Ensemble(weights, tuple(pure_states_from_params(xs, din, n_states)))
         value = holevo_information(ch, ensemble)
         return value, CapacityResult(value, ensemble, converged=converged)
@@ -918,10 +957,10 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
 
     (best_x, best_conv), runs = _search(
         cfg,
-        lambda cat, _: (joint(cat)[0], None),
+        None,
         [(slice(None), lambda *_: joint)],
         start,
-        lambda cat, value, converged: (value, (cat, converged)),
+        lambda cat, value, converged, _: (value, (cat, converged)),
         ceiling=np.log2(min(din, dout)),
     )
     rho = density_from_params(best_x[:nr], din)

@@ -343,6 +343,8 @@ def load_channel(text: str) -> QuantumChannel:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChannelSpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or too deep nesting
+        raise ChannelSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ChannelSpecError("channel spec must be an object with a 'kind' field")
     kind = spec["kind"]

@@ -687,7 +687,7 @@ class TestSearch:
         log = []
         value, blocks, start = self.problem([None, np.zeros(4), None], log)
         cfg = OptimizerConfig(restarts=3, max_iters=2, tol=1e-9, seed=5)
-        cap._search(cfg, value, blocks, start, lambda x, v, conv: (v, x))
+        cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (v, x))
         assert [event[1] for event in log if event[0] == "start"] == [0, 1, 2]
         last = None  # the weights of the restart's last value call: draws and sweeps both count
         for i, event in enumerate(log):
@@ -705,11 +705,11 @@ class TestSearch:
         log = []
         value, blocks, start = self.problem([np.zeros(4), np.ones(4), np.zeros(4), np.zeros(4)], log)
         cfg = OptimizerConfig(restarts=4, max_iters=0, tol=1e-9, seed=5)
-        result, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv: (v, (x, conv)), ceiling=0.0)
+        result, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (v, (x, conv)), ceiling=0.0)
         assert runs == 2 and [event[1] for event in log if event[0] == "start"] == [0, 1]
         np.testing.assert_array_equal(result[0], np.ones(4))
         assert result[1] is False  # no sweep: the tolerance test never ran
-        _, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv: (v, x), ceiling=1.0)
+        _, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (v, x), ceiling=1.0)
         assert runs == 4
 
     def test_best_rank_wins(self):
@@ -717,8 +717,147 @@ class TestSearch:
         cfg = OptimizerConfig(restarts=5, max_iters=3, tol=1e-9, seed=5)
         ranks = iter([0.5, 2.0, -1.0, 2.0, 1.0])
         results = iter(range(5))
-        best, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv: (next(ranks), (next(results), conv)))
+        best, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (next(ranks), (next(results), conv)))
         assert best == (1, True) and runs == 5  # the first of the equal best ranks, and converged sweeps
+
+    # Without inner weights (``value=None``) a restart is its one block's L-BFGS-B solve.
+
+    SCALES = np.array([1.0, 2.0, 3.0, 4.0])  # -sum_i c_i (x_i - 1)^2: at 8 evaluations a solve from 0 stops at the cap
+
+    @classmethod
+    def weightless(cls, monkeypatch, starts, log):
+        """(blocks, start) of one block over all parameters; ``log`` records each ``_maximize`` call
+        with what it returned, and each objective call, marked by whether a solve is running."""
+        maximize, solving = cap._maximize, []
+
+        def spy(fun, x0, maxfev):
+            solving.append(True)
+            out = maximize(fun, x0, maxfev)
+            solving.pop()
+            log.append(("solve", out))
+            return out
+
+        def objective(v):
+            log.append(("eval", bool(solving)))
+            return -float(cls.SCALES @ (v - 1.0) ** 2), -2.0 * cls.SCALES * (v - 1.0)
+
+        monkeypatch.setattr(cap, "_maximize", spy)
+        return [(slice(None), lambda x, w: objective)], lambda restart, rng, draw: starts[restart]
+
+    def test_weightless_restart_is_one_solve(self, monkeypatch):
+        log = []
+        blocks, start = self.weightless(monkeypatch, [np.zeros(4), np.full(4, 3.0)], log)
+        cfg = OptimizerConfig(restarts=2, max_iters=4, tol=1e-9, seed=5)
+        cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, x))
+        solves = [event[1] for event in log if event[0] == "solve"]
+        assert len(solves) == 2 and all(stopped for *_, stopped in solves)
+        assert all(inside for kind, inside in log if kind == "eval")  # no evaluation outside the solves
+
+    def test_weightless_value_is_the_solves(self, monkeypatch):
+        log, finished = [], []
+        blocks, start = self.weightless(monkeypatch, [np.zeros(4), np.full(4, 3.0)], log)
+        cfg = OptimizerConfig(restarts=2, max_iters=4, tol=1e-9, seed=5)
+
+        def finish(x, value, converged, weights):
+            finished.append((x, value, converged, weights))
+            return value, x
+
+        cap._search(cfg, None, blocks, start, finish)
+        solves = [event[1] for event in log if event[0] == "solve"]
+        for (x, value, _), (x_end, rank, converged, weights) in zip(solves, finished, strict=True):
+            np.testing.assert_array_equal(x_end, x)
+            assert rank == value and converged is True and weights is None
+
+    def test_weightless_capped_solve_is_repeated(self, monkeypatch):
+        for max_iters, n_solves, converged in ((1, 1, False), (4, 2, True)):
+            log = []
+            blocks, start = self.weightless(monkeypatch, [np.zeros(4)], log)
+            cfg = OptimizerConfig(restarts=1, max_iters=max_iters, tol=1e-9, seed=5)
+            result, _ = cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, (v, conv)), maxfev_per_param=2)
+            solves = [event[1] for event in log if event[0] == "solve"]
+            assert [stopped for *_, stopped in solves] == [False] * (n_solves - 1) + [converged]
+            assert result == (solves[-1][1], converged)
+            monkeypatch.undo()
+
+    def test_weightless_without_solves_evaluates_start(self, monkeypatch):
+        log = []
+        blocks, start = self.weightless(monkeypatch, [np.zeros(4)], log)
+        cfg = OptimizerConfig(restarts=1, max_iters=0, tol=1e-9, seed=5)
+        result, _ = cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, (x, v, conv)))
+        assert log == [("eval", False)]
+        np.testing.assert_array_equal(result[0], np.zeros(4))
+        assert result[1:] == (-float(self.SCALES.sum()), False)
+
+    def test_weightless_draws_score_with_block_objective(self, monkeypatch):
+        log = []
+        blocks, _ = self.weightless(monkeypatch, [], log)
+        cfg = OptimizerConfig(restarts=1, max_iters=0, tol=1e-9, seed=5)
+        drawn = []
+
+        def start(restart, rng, draw):
+            drawn.append(draw(np.ones(4), n_draws=5))
+            return drawn[-1]
+
+        result, _ = cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, x))
+        candidates = np.random.default_rng([5, 0]).normal(size=(5, 4))
+        best = max(candidates, key=lambda v: -float(self.SCALES @ (v - 1.0) ** 2))
+        np.testing.assert_array_equal(drawn[0], best)
+        np.testing.assert_array_equal(result, best)
+        assert log == [("eval", False)] * 6  # five draws, then the start's value
+
+
+def _spied(monkeypatch, module, name):
+    """Every call (args, kwargs, result) of ``module.name``, in order, and the original function."""
+    log, solve = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        log.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return log, solve
+
+
+class TestWarmFinalSolves:
+    """Each restart's final exact weight solve starts from the weights of its last sweep value."""
+
+    FINAL = {  # estimator -> (weight solver, tolerance of its final solve)
+        "shannon": ("blahut_arimoto", 1e-10),
+        "fixed": ("blahut_arimoto", 1e-10),
+        "holevo": ("max_holevo_weights", 1e-11),
+    }
+
+    @staticmethod
+    def estimate(estimator, ch):
+        if estimator == "shannon":
+            return shannon_capacity(ch, QUICK)
+        if estimator == "holevo":
+            return holevo_capacity(ch, QUICK)
+        return fixed_measurement_capacity(ch, basis_povm(ch.dim_out), QUICK)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("estimator", ["shannon", "fixed", "holevo"])
+    def test_final_solve_starts_warm(self, monkeypatch, estimator, dims):
+        ch = _qubit_output_channel(3, 451) if dims == (3, 2) else _channel_of(dims, 451)
+        assert (ch.dim_in, ch.dim_out) == dims
+        solver, tol = self.FINAL[estimator]
+        log, cold = _spied(monkeypatch, cap, solver)
+        result = self.estimate(estimator, ch)
+        monkeypatch.undo()
+        finals = [i for i, (_, kwargs, _) in enumerate(log) if kwargs["tol"] == tol]
+        assert len(finals) == result.restarts_used
+        for i in finals:
+            (operand,), kwargs, (value, _) = log[i]
+            assert log[i - 1][1]["tol"] != tol and kwargs["init_weights"] is log[i - 1][2][1]
+            assert abs(value - cold(operand, tol=tol, max_iters=3000)[0]) < 1e-12
+
+    def test_adaptive_final_solve_stays_cold(self, monkeypatch):
+        log, _ = _spied(monkeypatch, adaptive, "blahut_arimoto")
+        adaptive.best_conditional_information([random_channel(2, 2, seed=452)] * 2, QUICK)
+        monkeypatch.undo()
+        assert any(kwargs["tol"] == 1e-10 for _, kwargs, _ in log)
+        assert all(kwargs.get("init_weights") is None for _, kwargs, _ in log)
 
 
 MATRIX_DIMS = [(2, 2), (3, 3), (4, 4), (2, 3)]
@@ -851,7 +990,7 @@ def _block_solves(monkeypatch, estimator, ch, cfg=OptimizerConfig(restarts=1, ma
             log.append(None)
             return sweep_value(*parts)
 
-        return ascent(blocks, value, *rest, **options)
+        return ascent(blocks, None if sweep_value is None else value, *rest, **options)
 
     monkeypatch.setattr(cap, "_maximize", recording)
     monkeypatch.setattr(cap, "_block_ascent", logged_ascent)
@@ -980,12 +1119,16 @@ class TestBlochGradients:
     def test_one_joint_solve_per_sweep(self, monkeypatch, estimator, dims, n_params):
         # every sweep is one L-BFGS-B call over all the parameters at the usual
         # budget, on an objective that returns its gradient: no split blocks,
-        # and no call after the last sweep
+        # and no call after the last sweep; the measured-input search has no
+        # weights, so each of its restarts is one solve and takes no sweep value
         ch = _channel_of(dims, 361, rank=3)
         assert (ch.dim_in, ch.dim_out) == dims
         log = _block_solves(monkeypatch, estimator, ch, QUICK)
         kinds = "".join("v" if event is None else "s" for event in log)
-        assert "s" in kinds and "ss" not in kinds and kinds[0] == kinds[-1] == "v"  # sweep values around solves
+        if estimator is measured_input_bound:
+            assert kinds == "s" * QUICK.restarts
+        else:
+            assert "s" in kinds and "ss" not in kinds and kinds[0] == kinds[-1] == "v"  # sweep values around solves
         solves = list(filter(None, log))
         assert {(len(x0), maxfev) for _, x0, maxfev in solves} == {(n_params, 60 * n_params)}
         for objective, x0, _ in solves:
@@ -1000,5 +1143,6 @@ class TestBlochGradients:
             return (-float(v @ v) if np.all(np.abs(v) < 1.0) else -np.inf), np.full_like(v, -1e308)
 
         with np.errstate(all="ignore"):
-            x = cap._maximize(overflowing, x0, 100)
+            x, value, _ = cap._maximize(overflowing, x0, 100)
         np.testing.assert_array_equal(x, x0)
+        assert value == overflowing(x0)[0]

@@ -289,6 +289,22 @@ class TestChannelInfoCommand:
         assert main(["channel-info", str(spec)]) == EXIT_INVARIANT
         assert "Kraus operator 0 has a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"kind": "depolarizing", "p": ' + "1" * 5000 + "}", "digits"),  # past the int-to-string limit
+            ('{"kind": "kraus", "operators": ' + "[" * 100_000 + "]" * 100_000 + "}", "recursion"),
+        ],
+        ids=["huge-integer", "deep-nesting"],
+    )
+    def test_json_the_parser_refuses_is_a_spec_error(self, capsys, tmp_path, text, reason):
+        # json.loads raises a plain ValueError or RecursionError here, not a JSONDecodeError
+        spec = tmp_path / "refused.json"
+        spec.write_text(text)
+        assert main(["channel-info", str(spec)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and reason in err
+
     @pytest.mark.parametrize("kind", ["identity", "completely-noisy"])
     @pytest.mark.parametrize("dim", ["0", "17", "2.7", "true", '"3"'])
     def test_dim_outside_scope_is_a_spec_error(self, capsys, tmp_path, kind, dim):
