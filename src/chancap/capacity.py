@@ -30,6 +30,7 @@ last weights (the adaptive search starts it cold).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +45,7 @@ from .information import (
     measured_input_information,
     mutual_information,
 )
-from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_slope, frozen
+from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_and_slope, _eig_entropy_slope, frozen
 
 
 # Largest ensemble or POVM size cap: d^2 at the largest total dimension, 16.
@@ -114,7 +115,7 @@ def _simplex_newton(fgh, p0: np.ndarray, tol: float, max_iters: int):
     value, g, h = fgh(p)
     history, max_iters = [value], max(int(max_iters), 0)
     for step in range(max_iters + 1):
-        gap = max(float(g.max() - p @ g), 0.0) if np.all(np.isfinite(g)) else np.inf
+        gap = max(float(g.max() - p @ g), 0.0) if np.isfinite(g).all() else np.inf
         if not gap >= tol or step == max_iters:
             break
         if np.isinf(gap):
@@ -122,29 +123,34 @@ def _simplex_newton(fgh, p0: np.ndarray, tol: float, max_iters: int):
             d, t, slope, curv = enter / enter.sum() - p, 0.5, 0.0, 0.0
         else:  # Newton on the support's face, joined by the row j of largest gradient
             j = int(np.argmax(g))
-            idx = np.flatnonzero((p > 0.0) | (np.arange(len(p)) == j))
+            face = p > 0.0
+            face[j] = True
+            idx = np.flatnonzero(face)
             k = len(idx)
-            bordered = np.ones((k + 1, k + 1))
-            bordered[:k, :k], bordered[k, k] = -h[np.ix_(idx, idx)], 0.0
-            bordered[:k, :k] += _NEWTON_DAMPING * max(float(bordered.diagonal().max()), 1.0) * np.eye(k)
+            bordered, rhs = np.ones((k + 1, k + 1)), np.zeros(k + 1)
+            np.negative(h[idx[:, None], idx], out=bordered[:k, :k])
+            bordered[k, k] = 0.0
+            diagonal = bordered.reshape(-1)[: k * (k + 2) : k + 2]  # a view of the face's diagonal
+            diagonal += _NEWTON_DAMPING * max(float(diagonal.max()), 1.0)
+            np.subtract(g[idx], p @ g, out=rhs[:k])
             d = np.zeros_like(p)
-            d[idx] = np.linalg.solve(bordered, np.append(g[idx] - p @ g, 0.0))[:k]
+            d[idx] = np.linalg.solve(bordered, rhs)[:k]
             slope = float(g @ d)
             if not (slope > 0.0 and (p[j] > 0.0 or d[j] > 0.0)):  # j would leave again: move weight to j
                 d, slope = -p, gap
                 d[j] += 1.0
             curv = float(d @ h @ d)
             t = slope / max(-curv, slope)  # the model's maximiser, capped at 1
-        shrink = d < 0.0
-        ratios = np.where(shrink, p / np.where(shrink, -d, 1.0), np.inf)
-        block = int(np.argmin(ratios))
-        t = min(t, ratios[block])
+        shrink = np.flatnonzero(d < 0.0)  # the ratio test: the first weight to reach 0 blocks the step
+        ratios = p[shrink] / -d[shrink]
+        limit = ratios.min(initial=np.inf)
+        t = min(t, limit)
         rounding = 1e-14 * max(1.0, abs(value))
         for _ in range(60):
             cand = p + t * d
-            if t >= ratios[block]:
-                cand[block] = 0.0
-            cand = np.maximum(cand, 0.0)
+            if t >= limit:
+                cand[shrink[np.argmin(ratios)]] = 0.0
+            np.maximum(cand, 0.0, out=cand)
             cand /= cand.sum()
             new = fgh(cand)
             pred = t * slope + 0.5 * t * t * curv
@@ -156,6 +162,19 @@ def _simplex_newton(fgh, p0: np.ndarray, tol: float, max_iters: int):
         p, (value, g, h) = cand, new
         history.append(value)
     return value, p, history, gap
+
+
+def _warm_start(init_weights, n: int) -> np.ndarray | None:
+    """``init_weights`` scaled to sum 1, or None (a cold start) for anything but
+    a finite, nonnegative vector of length ``n`` with a finite positive sum."""
+    if init_weights is None:
+        return None
+    w = np.asarray(init_weights, dtype=float)
+    if w.shape != (n,) or not np.isfinite(w).all() or w.min() < 0.0:
+        return None
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    return w / total if 0.0 < total < np.inf else None
 
 
 def blahut_arimoto(
@@ -170,9 +189,10 @@ def blahut_arimoto(
     A name kept for the API: the solver is ``_simplex_newton`` with gradient
     D_j = D(p(.|j) || q) and Hessian -K diag(1/q) K^T / ln 2, stopped once
     the gap max_j D_j - sum_j r_j D_j falls below ``tol``.  ``init_weights``
-    start it as given; a cold start is uniform on the n_out + 1 rows of
-    largest D_j at uniform weights (all rows when there are no more), plus
-    rows until every output some row reaches is reached.
+    start it when ``_warm_start`` accepts them; otherwise a cold start is
+    uniform on the n_out + 1 rows of largest D_j at uniform weights (all rows
+    when there are no more), plus rows until every output some row reaches
+    is reached.
 
     Returns ``(capacity, weights)``, or ``(capacity, weights, info)`` with the
     per-iteration lower-bound history and the final gap upper - lower (the
@@ -202,9 +222,8 @@ def blahut_arimoto(
         scaled = k[:, reached] / np.sqrt(q[reached])
         return float(r[r > 0.0] @ div[r > 0.0]), div, -(scaled @ scaled.T) / np.log(2.0)
 
-    if init_weights is not None and len(init_weights) == n_in and np.min(init_weights) >= 0 and np.sum(init_weights) > 0:
-        r = np.asarray(init_weights, dtype=float) / np.sum(init_weights)
-    else:
+    r = _warm_start(init_weights, n_in)
+    if r is None:
         div = fgh(np.full(n_in, 1.0 / n_in))[1]
         rows = np.isin(np.arange(n_in), np.argsort(-div, kind="stable")[: n_out + 1])
         while (missed := mask.any(axis=0) & ~mask[rows].any(axis=0)).any():
@@ -279,11 +298,14 @@ def _signal_vectors(x: np.ndarray, dim: int, n: int):
     if dim == 2:
         theta, phi = x[0:2 * n:2], x[1:2 * n:2]
         c, s, phase = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
-        v = np.stack([c, phase * s], axis=1)
+        v = np.empty((n, 2), dtype=complex)
+        v[:, 0], v[:, 1] = c, phase * s
 
         def pull_back(g):  # d/dtheta and d/dphi of each state, interleaved
             turned = g[:, 1].conj() * phase
-            return np.column_stack([0.5 * (c * turned.real - s * g[:, 0].real), -s * turned.imag]).ravel()
+            out = np.empty((n, 2))
+            out[:, 0], out[:, 1] = 0.5 * (c * turned.real - s * g[:, 0].real), -s * turned.imag
+            return out.ravel()
 
         return v, pull_back
     chunks = x[: 2 * dim * n].reshape(n, 2, dim)
@@ -334,11 +356,13 @@ def _polar_rows(x: np.ndarray, dim: int, n_out: int):
     rows = w @ zh
     if not s[-1] > 1e-12 * s[0]:
         return rows, lambda grad: np.zeros(2 * m)
+    z = zh.conj().T
 
     def pull_back(grad):
         y = zh @ grad.conj().T @ w
         inner = (y + s[:, None] * y.conj().T / s) / (s[:, None] + s)
-        return _complex_params((grad @ zh.conj().T / s - w @ inner) @ zh)
+        out = (grad @ z / s - w @ inner) @ zh
+        return np.concatenate([out.real.ravel(), out.imag.ravel()])
 
     return rows, pull_back
 
@@ -467,7 +491,7 @@ def _holevo_objective(dual: np.ndarray, weights: np.ndarray, dims: tuple[int, in
         vecs, pull_back = _signal_vectors(xs, din, n)
         outs = _rank_one(vecs).reshape(n, -1) @ channel
         lam, vec = np.linalg.eigh(np.vstack([weights @ outs, outs]).reshape(n + 1, dout, dout))
-        ent, slope = _eig_entropy(lam), _eig_entropy_slope(lam)
+        ent, slope = _eig_entropy_and_slope(lam)
         slope[0] *= -1.0  # dS/dlam = -slope: chi gains S(rhobar) and loses each S(rho_j)
         grads = ((vec * slope[:, None, :]) @ vec.conj().swapaxes(1, 2)).reshape(n + 1, -1)
         g_outs = weights[:, None] * (grads[0] + grads[1:])
@@ -496,10 +520,10 @@ def _measured_input_objective(dual: np.ndarray, dims: tuple[int, int], n_out: in
         lam, vec = np.linalg.eigh(a.conj().T @ ops @ a)
         tau = np.maximum(lam[1:].sum(axis=1), 0.0)
         live = tau > PROB_FLOOR
-        ent, slope = _eig_entropy(lam), _eig_entropy_slope(lam)
-        value = float(ent[0] - ent[1:][live].sum() + _eig_entropy(tau))
+        (ent, slope), (ent_tau, slope_tau) = _eig_entropy_and_slope(lam), _eig_entropy_and_slope(tau)
+        value = float(ent[0] - ent[1:][live].sum() + ent_tau)
         slope[0] *= -1.0
-        slope[1:] = slope[1:] * live[:, None] - _eig_entropy_slope(tau)[:, None]  # H(tau) adds -slope(tau_b) I
+        slope[1:] = slope[1:] * live[:, None] - slope_tau[:, None]  # H(tau) adds -slope(tau_b) I
         grads = (vec * slope[:, None, :]) @ vec.conj().swapaxes(1, 2)  # in C, then each B_b
         g_a = 2.0 * (ops @ a @ grads).sum(axis=0)
         g_elements = (a @ grads[1:] @ a.conj().T).reshape(n_out, -1) @ channel
@@ -866,7 +890,8 @@ def max_holevo_weights(
     more than 1e-9 of its trace lies off the average's support), and one
     ``eigh`` of the average gives the Hessian through the divided differences
     of log, over that support.  Stops once max_j g_j - chi falls below
-    ``tol``; the cold start is uniform.
+    ``tol``; ``init_weights`` start it as ``blahut_arimoto``'s do, and the
+    cold start is uniform.
     """
     outs = np.asarray(outputs, dtype=complex)
     s_each, traces = _entropy_stack(outs), np.einsum("jaa->j", outs).real
@@ -885,9 +910,8 @@ def max_holevo_weights(
         hess = -np.einsum("jab,kba,ab->jk", rotated, rotated, dlog).real / np.log(2.0)
         return float(-(lam * log_lam).sum() - p @ s_each), grad, hess
 
-    if init_weights is not None and len(init_weights) == len(outs) and np.min(init_weights) >= 0 and np.sum(init_weights) > 0:
-        pi = np.asarray(init_weights, dtype=float) / np.sum(init_weights)
-    else:
+    pi = _warm_start(init_weights, len(outs))
+    if pi is None:
         pi = np.full(len(outs), 1.0 / len(outs))
     chi, pi, _, _ = _simplex_newton(fgh, pi, tol, max_iters)
     return chi, pi
@@ -1019,12 +1043,13 @@ def _bloch_of_outputs(ch: QuantumChannel, bloch_in: np.ndarray) -> np.ndarray:
     return 2.0 * _pauli_form(outs)[1]
 
 
+@functools.lru_cache(maxsize=16)
 def _grid_directions(density: int) -> np.ndarray:
-    """The poles, then every interior polar angle of the grid at each azimuth (rows)."""
+    """The poles, then every interior polar angle of the grid at each azimuth (rows); frozen, one per density."""
     thetas = np.linspace(0.0, np.pi, density + 1)[1:-1]
-    phis = np.linspace(0.0, 2 * np.pi, max(density, 2), endpoint=False)
+    phis = np.linspace(0.0, 2 * np.pi, density, endpoint=False)
     angles = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).ravel()
-    return np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], _bloch_of_angles(angles)[0]])
+    return frozen(np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], _bloch_of_angles(angles)[0]]))
 
 
 def _two_point_kernels(ch: QuantumChannel, density: int):
@@ -1053,6 +1078,8 @@ def qubit_grid_oracle(ch: QuantumChannel, grid_density: int, povm_arity: int = 2
     two-outcome projective POVMs along grid directions (arity 2) or trine
     POVMs rotated through the grid planes (arity 3), where the exact weight
     solve supplies the input weights.  No randomness is involved.
+    ``grid_density``, an integer of at least 2, is the number of azimuths and
+    of polar steps of the grid, and of trine rotations per plane.
 
     For a two-outcome measurement the outcome statistics of every candidate
     lie on a segment, so the optimum uses the two extreme conditional
@@ -1062,6 +1089,8 @@ def qubit_grid_oracle(ch: QuantumChannel, grid_density: int, povm_arity: int = 2
         raise DimensionMismatchError("grid oracle handles qubit channels only")
     if povm_arity not in (2, 3):
         raise InvariantViolation(f"povm_arity must be 2 or 3, got {povm_arity}")
+    if isinstance(grid_density, bool) or not isinstance(grid_density, (int, np.integer)) or grid_density < 2:
+        raise InvariantViolation(f"grid_density must be an integer of at least 2, got {grid_density!r}")
 
     best = 0.0
     if povm_arity == 2:
@@ -1070,7 +1099,7 @@ def qubit_grid_oracle(ch: QuantumChannel, grid_density: int, povm_arity: int = 2
     else:
         bloch_out = _bloch_of_outputs(ch, _grid_directions(grid_density))
         planes = [(0, 1), (0, 2), (1, 2)]
-        offsets = np.linspace(0.0, 2 * np.pi / 3, max(grid_density, 2), endpoint=False)
+        offsets = np.linspace(0.0, 2 * np.pi / 3, grid_density, endpoint=False)
         for ax1, ax2 in planes:
             for off in offsets:
                 dirs = np.zeros((3, 3))

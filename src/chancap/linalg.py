@@ -199,10 +199,17 @@ def _eig_entropy(lam: np.ndarray) -> np.ndarray:
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
+def _eig_entropy_and_slope(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_eig_entropy(lam)`` and the slope log2(lam) + 1/ln 2, so that dS/dlam = -slope (0 for dropped entries)."""
+    mask = lam > EIG_CLIP
+    kept = np.where(mask, lam, 1.0)
+    logs = np.log2(kept)
+    return -(kept * logs).sum(axis=-1), np.where(mask, logs + 1.0 / np.log(2.0), 0.0)
+
+
 def _eig_entropy_slope(lam: np.ndarray) -> np.ndarray:
-    """log2(lam) + 1/ln 2, so that dS/dlam = -slope; 0 for the entries ``_eig_entropy`` drops."""
-    kept = np.where(lam > EIG_CLIP, lam, 1.0)
-    return np.where(lam > EIG_CLIP, np.log2(kept) + 1.0 / np.log(2.0), 0.0)
+    """The slope of ``_eig_entropy_and_slope`` alone."""
+    return _eig_entropy_and_slope(lam)[1]
 
 
 def shannon_entropy(p):

@@ -1146,3 +1146,244 @@ class TestBlochGradients:
             x, value, _ = cap._maximize(overflowing, x0, 100)
         np.testing.assert_array_equal(x, x0)
         assert value == overflowing(x0)[0]
+
+
+# ---------------------------------------------------------------------------
+# The lean inner loops against the bodies they replaced: bit-identical
+# ---------------------------------------------------------------------------
+
+def _reference_simplex_newton(fgh, p0, tol, max_iters):
+    """The active-set Newton loop as first written, one numpy call per step of the algebra."""
+    p = np.array(p0, dtype=float)
+    value, g, h = fgh(p)
+    history, max_iters = [value], max(int(max_iters), 0)
+    for step in range(max_iters + 1):
+        gap = max(float(g.max() - p @ g), 0.0) if np.all(np.isfinite(g)) else np.inf
+        if not gap >= tol or step == max_iters:
+            break
+        if np.isinf(gap):
+            enter = ~np.isfinite(g)
+            d, t, slope, curv = enter / enter.sum() - p, 0.5, 0.0, 0.0
+        else:  # Newton on the support's face, joined by the row j of largest gradient
+            j = int(np.argmax(g))
+            idx = np.flatnonzero((p > 0.0) | (np.arange(len(p)) == j))
+            k = len(idx)
+            bordered = np.ones((k + 1, k + 1))
+            bordered[:k, :k], bordered[k, k] = -h[np.ix_(idx, idx)], 0.0
+            bordered[:k, :k] += cap._NEWTON_DAMPING * max(float(bordered.diagonal().max()), 1.0) * np.eye(k)
+            d = np.zeros_like(p)
+            d[idx] = np.linalg.solve(bordered, np.append(g[idx] - p @ g, 0.0))[:k]
+            slope = float(g @ d)
+            if not (slope > 0.0 and (p[j] > 0.0 or d[j] > 0.0)):  # j would leave again: move weight to j
+                d, slope = -p, gap
+                d[j] += 1.0
+            curv = float(d @ h @ d)
+            t = slope / max(-curv, slope)  # the model's maximiser, capped at 1
+        shrink = d < 0.0
+        ratios = np.where(shrink, p / np.where(shrink, -d, 1.0), np.inf)
+        block = int(np.argmin(ratios))
+        t = min(t, ratios[block])
+        rounding = 1e-14 * max(1.0, abs(value))
+        for _ in range(60):
+            cand = p + t * d
+            if t >= ratios[block]:
+                cand[block] = 0.0
+            cand = np.maximum(cand, 0.0)
+            cand /= cand.sum()
+            new = fgh(cand)
+            pred = t * slope + 0.5 * t * t * curv
+            if new[0] - value >= 1e-4 * pred or (pred <= rounding and new[0] >= value - rounding):
+                break
+            t *= 0.5
+        else:
+            break
+        p, (value, g, h) = cand, new
+        history.append(value)
+    return value, p, history, gap
+
+
+def _newton_runs(monkeypatch, solve, run):
+    """(value, weights, history, gap) of every ``_simplex_newton`` call that ``run()`` makes under ``solve``."""
+    seen = []
+
+    def spy(*args):
+        seen.append(solve(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cap, "_simplex_newton", spy)
+        run()
+    return seen
+
+
+def _assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for (value, weights, history, gap), (value_, weights_, history_, gap_) in zip(got, want):
+        assert value == value_ and gap == gap_
+        np.testing.assert_array_equal(weights, weights_)
+        np.testing.assert_array_equal(history, history_)
+
+
+def _random_chi_stacks(rng, count):
+    """(outputs, warm start or None) pairs at d = 2..4; every third stack has a pure output."""
+    from chancap.rand import random_density_matrix
+
+    cases = []
+    for i in range(count):
+        dim, n = 2 + i % 3, int(rng.integers(2, 9))
+        outs = np.stack([random_density_matrix(dim, rng) for _ in range(n)])
+        if i % 3 == 0:
+            v = random_unitary(dim, rng)[:, 0]
+            outs[0] = np.outer(v, v.conj())
+        warm = None
+        if i % 2:
+            warm = rng.dirichlet(np.ones(n))
+            warm[rng.random(n) < 0.4] = 0.0
+            warm[i % n] += 0.1
+        cases.append((outs, warm))
+    return cases
+
+
+def _reference_qubit_signal_vectors(x, n):
+    """The qubit branch of ``_signal_vectors`` as first written, with ``np.stack``/``np.column_stack``."""
+    theta, phi = x[0:2 * n:2], x[1:2 * n:2]
+    c, s, phase = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+    v = np.stack([c, phase * s], axis=1)
+
+    def pull_back(g):
+        turned = g[:, 1].conj() * phase
+        return np.column_stack([0.5 * (c * turned.real - s * g[:, 0].real), -s * turned.imag]).ravel()
+
+    return v, pull_back
+
+
+def _reference_polar_rows(x, dim, n_out):
+    """``_polar_rows`` as first written, with ``zh.conj().T`` in the pull-back and ``_complex_params``."""
+    m = n_out * dim
+    g = (x[:m] + 1j * x[m:2 * m]).reshape(n_out, dim)
+    if not np.isfinite(g).all():
+        return np.eye(n_out, dim), lambda grad: np.zeros(2 * m)
+    w, s, zh = np.linalg.svd(g, full_matrices=False)
+    rows = w @ zh
+    if not s[-1] > 1e-12 * s[0]:
+        return rows, lambda grad: np.zeros(2 * m)
+
+    def pull_back(grad):
+        y = zh @ grad.conj().T @ w
+        inner = (y + s[:, None] * y.conj().T / s) / (s[:, None] + s)
+        return cap._complex_params((grad @ zh.conj().T / s - w @ inner) @ zh)
+
+    return rows, pull_back
+
+
+class TestLeanLoopsBitIdentical:
+    @pytest.mark.parametrize("tol, max_iters", [(1e-12, 3000), (1e-9, 250), (1e-9, 1), (1e-9, 0)])
+    def test_blahut_arimoto(self, monkeypatch, tol, max_iters):
+        for kernel, warm in _random_kernels(np.random.default_rng(20), 500):
+            def run():
+                return blahut_arimoto(kernel, tol=tol, max_iters=max_iters, full_output=True, init_weights=warm)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cap, "_simplex_newton", _reference_simplex_newton)
+                value_, weights_, info_ = run()
+            value, weights, info = run()
+            assert value == value_ and info["gap"] == info_["gap"]
+            np.testing.assert_array_equal(weights, weights_)
+            np.testing.assert_array_equal(info["lower_bounds"], info_["lower_bounds"])
+
+    def test_max_holevo_weights(self, monkeypatch):
+        for outs, warm in _random_chi_stacks(np.random.default_rng(21), 300):
+            def run():
+                return max_holevo_weights(outs, tol=1e-11, max_iters=3000, init_weights=warm)
+
+            want = _newton_runs(monkeypatch, _reference_simplex_newton, run)
+            _assert_same_runs(_newton_runs(monkeypatch, cap._simplex_newton, run), want)
+
+    def test_qubit_signal_vectors(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 7):
+            x = rng.normal(scale=3.0, size=2 * n + 3)  # trailing parameters belong to other blocks
+            g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+            (v, back), (v_, back_) = cap._signal_vectors(x, 2, n), _reference_qubit_signal_vectors(x, n)
+            np.testing.assert_array_equal(v, v_)
+            np.testing.assert_array_equal(back(g), back_(g))
+
+    def test_polar_rows(self):
+        rng = np.random.default_rng(23)
+        for dim, n_out in ((2, 2), (2, 4), (3, 4), (4, 5)):
+            x = rng.normal(size=n_povm_params(dim, n_out))
+            g = (x[: n_out * dim] + 1j * x[n_out * dim:]).reshape(n_out, dim)
+            singular = g.copy()
+            singular[:, -1] = 2.0 * singular[:, 0]
+            for z in (g, singular, np.zeros_like(g), np.full_like(g, np.nan)):
+                xs = cap._complex_params(z)
+                grad = rng.normal(size=(n_out, dim)) + 1j * rng.normal(size=(n_out, dim))
+                (rows, back), (rows_, back_) = cap._polar_rows(xs, dim, n_out), _reference_polar_rows(xs, dim, n_out)
+                np.testing.assert_array_equal(rows, rows_)
+                np.testing.assert_array_equal(back(grad), back_(grad))
+
+    def test_entropy_and_slope(self):
+        from chancap.linalg import EIG_CLIP, _eig_entropy_and_slope
+
+        edges = [EIG_CLIP, np.nextafter(EIG_CLIP, 1.0), np.nextafter(EIG_CLIP, 0.0), 0.0, -1e-15, 1.0]
+        rng = np.random.default_rng(24)
+        for lam in (np.array(edges), rng.dirichlet(np.ones(4), size=5), np.concatenate([rng.random((3, 2)), np.tile(edges[:3], (3, 1))], axis=1)):
+            kept = np.where(lam > EIG_CLIP, lam, 1.0)
+            ent, slope = _eig_entropy_and_slope(lam)
+            np.testing.assert_array_equal(ent, -(kept * np.log2(kept)).sum(axis=-1))
+            np.testing.assert_array_equal(ent, cap._eig_entropy(lam))
+            np.testing.assert_array_equal(slope, np.where(lam > EIG_CLIP, np.log2(kept) + 1.0 / np.log(2.0), 0.0))
+            np.testing.assert_array_equal(cap._eig_entropy_slope(lam), slope)
+
+
+class TestWarmStartChecks:
+    KERNELS = [np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]])]
+    BAD = [
+        lambda n: [np.inf] + [1.0] * (n - 1),
+        lambda n: [np.nan] + [1.0] * (n - 1),
+        lambda n: [-1.0] + [2.0] * (n - 1),
+        lambda n: [0.0] * n,
+        lambda n: [1e308] * n,  # finite entries whose sum is not
+        lambda n: np.ones((n, 2)),  # 2-D, with the right length
+        lambda n: np.ones(n + 1),
+    ]
+
+    @pytest.mark.parametrize("bad", range(len(BAD)))
+    def test_blahut_arimoto_falls_back_to_cold_start(self, bad):
+        for kernel in self.KERNELS:
+            value, weights, info = blahut_arimoto(kernel, full_output=True, init_weights=self.BAD[bad](len(kernel)))
+            value_, weights_, info_ = blahut_arimoto(kernel, full_output=True)
+            assert value == value_ and info == info_
+            np.testing.assert_array_equal(weights, weights_)
+
+    @pytest.mark.parametrize("bad", range(len(BAD)))
+    def test_max_holevo_weights_falls_back_to_cold_start(self, bad):
+        for kernel in self.KERNELS:
+            outs = np.stack([np.diag(row).astype(complex) for row in kernel])
+            chi, weights = max_holevo_weights(outs, init_weights=self.BAD[bad](len(outs)))
+            chi_, weights_ = max_holevo_weights(outs)
+            assert chi == chi_ and np.isfinite(chi)
+            np.testing.assert_array_equal(weights, weights_)
+
+    def test_good_warm_start_is_normalised(self):
+        kernel = self.KERNELS[1]
+        want = blahut_arimoto(kernel, full_output=True, init_weights=np.array([0.25, 0.0, 0.75]))
+        got = blahut_arimoto(kernel, full_output=True, init_weights=[1, 0, 3])
+        assert got[0] == want[0] and got[2]["lower_bounds"] == want[2]["lower_bounds"]
+
+
+class TestGridDensity:
+    @pytest.mark.parametrize("density", [-3, 2.5, 0, 1, True, np.True_, "10", None])
+    def test_rejected(self, density):
+        with pytest.raises(InvariantViolation, match="grid_density"):
+            qubit_grid_oracle(identity_channel(2), density)
+
+    def test_smallest_and_numpy_integers(self):
+        ch = random_channel(2, 2, seed=91)
+        assert 0.0 <= qubit_grid_oracle(ch, 2) <= 1.0
+        assert qubit_grid_oracle(ch, np.int64(12), povm_arity=3) == qubit_grid_oracle(ch, 12, povm_arity=3)
+
+    def test_directions_are_frozen_once_per_density(self):
+        grid = cap._grid_directions(10)
+        assert grid is cap._grid_directions(10) and not grid.flags.writeable
+        assert grid.shape == (2 + 9 * 10, 3)
