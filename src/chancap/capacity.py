@@ -45,7 +45,7 @@ from .information import (
     measured_input_information,
     mutual_information,
 )
-from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_and_slope, _eig_entropy_slope, frozen
+from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_and_slope, frozen
 
 
 # Largest ensemble or POVM size cap: d^2 at the largest total dimension, 16.

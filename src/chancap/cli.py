@@ -1,11 +1,16 @@
 """Command-line interface: capacities, identity checks, additivity runs, sweeps.
 
-Reports are JSON documents with a fixed key order; numeric results carry the
-tolerance used in any internal assertion.  With a fixed seed and flags the
-report is reproducible byte for byte, except for the wall_time field.
+Each command returns its spec digest and its result entries; ``main`` builds
+the configuration, times the run and writes the one JSON report, with a fixed
+key order.  Numeric results carry the tolerance used in any internal check.
+With a fixed seed, flags and BLAS thread count the report is reproducible
+byte for byte, except for the wall_time field; another thread count can
+change the values a search reports.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant violation,
-3 bound/assertion failure.
+3 bound failure, which is any result entry with "passed": false.  The
+configuration is checked before any spec is read, so a bad one exits 2
+whatever the spec.
 """
 
 from __future__ import annotations
@@ -38,12 +43,14 @@ from .capacity import (
 )
 from .channels import (
     Povm,
-    QuantumChannel,
     amplitude_damping_channel,
+    apply,
     bit_flip_channel,
     depolarizing_channel,
+    dual_apply,
     load_channel,
     phase_damping_channel,
+    random_channel,
 )
 from .errors import ChannelSpecError, DimensionMismatchError, InvariantViolation
 from .information import (
@@ -51,7 +58,6 @@ from .information import (
     conditional_mutual_information,
 )
 from .rand import random_ensemble, random_povm
-from .channels import apply, dual_apply, random_channel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,6 +74,10 @@ _FAMILIES = {
     "phase-damping": phase_damping_channel,
 }
 
+# The estimators of `capacity` and `sweep` under their --which names, in report order;
+# `capacity` names each value's result entry after its function.
+_ESTIMATORS = {"shannon": shannon_capacity, "holevo": holevo_capacity, "uep": measured_input_bound}
+
 
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
@@ -82,23 +92,14 @@ def _result(name: str, value, tolerance=None, passed=None) -> dict:
     return entry
 
 
-def _report(command: str, digest: str, cfg: OptimizerConfig, results: list, seed: int, t0: float) -> dict:
-    return {
-        "command": command,
-        "channel_spec_digest": digest,
-        "config": asdict(cfg),  # every OptimizerConfig field, in declaration order
-        "results": results,
-        "seed": seed,
-        "wall_time": round(time.perf_counter() - t0, 3),
-    }
-
-
-def _emit(report: dict, args) -> None:
-    sys.stdout.write(json.dumps(report, indent=args.json_indent or None) + "\n")
+def _read_channels(*paths: str) -> tuple[str, list]:
+    """The digest of the spec files' bytes, joined by newlines, and their channels."""
+    blobs = [Path(path).read_bytes() for path in paths]
+    return _digest(b"\n".join(blobs)), [load_channel(blob.decode("utf-8")) for blob in blobs]
 
 
 def _bloch_coordinates(state: np.ndarray) -> list[float]:
-    return (2.0 * _pauli_form(state)[1]).tolist()
+    return [round(c, 9) for c in (2.0 * _pauli_form(state)[1]).tolist()]
 
 
 def _povm_summary(m: Povm) -> list:
@@ -109,79 +110,44 @@ def _povm_summary(m: Povm) -> list:
 
 
 def _ensemble_summary(ens) -> list:
-    if ens is None:
-        return []
     out = []
     for p, s in zip(ens.probs, ens.states):
         if p < 1e-6:
             continue
         entry = {"weight": round(float(p), 9)}
         if s.shape[0] == 2:
-            entry["bloch"] = [round(c, 9) for c in _bloch_coordinates(s)]
+            entry["bloch"] = _bloch_coordinates(s)
         out.append(entry)
     return out
 
 
-def _config_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        ensemble_size_cap=args.ensemble_cap,
-        povm_size_cap=args.povm_cap,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (channel spec digest, result entries)
 # ---------------------------------------------------------------------------
 
-def cmd_capacity(args) -> int:
-    t0 = time.perf_counter()
-    data = Path(args.channel).read_bytes()
-    ch = load_channel(data.decode("utf-8"))
-    cfg = _config_from_args(args)
-    results = []
-    values = {}
-    if args.which in ("shannon", "all"):
-        r = shannon_capacity(ch, cfg)
-        values["shannon"] = r.value
-        results.append(_result("shannon_capacity", round(r.value, 9)))
-        results.append({"name": "shannon_argmax_ensemble", "value": _ensemble_summary(r.argmax_ensemble)})
-        results.append({"name": "shannon_argmax_povm", "value": _povm_summary(r.argmax_povm)})
-    if args.which in ("holevo", "all"):
-        r = holevo_capacity(ch, cfg)
-        values["holevo"] = r.value
-        results.append(_result("holevo_capacity", round(r.value, 9)))
-        results.append({"name": "holevo_argmax_ensemble", "value": _ensemble_summary(r.argmax_ensemble)})
-    if args.which in ("uep", "all"):
-        r = measured_input_bound(ch, cfg)
-        values["uep"] = r.value
-        results.append(_result("measured_input_bound", round(r.value, 9)))
+def cmd_capacity(args, cfg: OptimizerConfig) -> tuple[str, list]:
+    digest, (ch,) = _read_channels(args.channel)
+    results, values = [], {}
+    for name, estimate in _ESTIMATORS.items():
+        if args.which not in (name, "all"):
+            continue
+        r = estimate(ch, cfg)
+        values[name] = r.value
+        results.append(_result(estimate.__name__, round(r.value, 9)))
+        if r.argmax_ensemble is not None:
+            results.append(_result(f"{name}_argmax_ensemble", _ensemble_summary(r.argmax_ensemble)))
         if r.argmax_rho is not None and r.argmax_rho.shape[0] == 2:
-            results.append(
-                {"name": "uep_argmax_input_bloch", "value": [round(c, 9) for c in _bloch_coordinates(r.argmax_rho)]}
-            )
-        results.append({"name": "uep_argmax_povm", "value": _povm_summary(r.argmax_povm)})
-
-    failed = False
-    if "shannon" in values and "holevo" in values:
-        ok = values["shannon"] <= values["holevo"] + 1e-4
-        results.append(_result("ordering_shannon_le_holevo", round(values["holevo"] - values["shannon"], 9), 1e-4, ok))
-        failed |= not ok
-    if "shannon" in values and "uep" in values:
-        ok = values["shannon"] <= values["uep"] + 1e-4
-        results.append(_result("ordering_shannon_le_uep", round(values["uep"] - values["shannon"], 9), 1e-4, ok))
-        failed |= not ok
-
-    _emit(_report("capacity", _digest(data), cfg, results, args.seed, t0), args)
-    return EXIT_BOUND if failed else EXIT_OK
+            results.append(_result(f"{name}_argmax_input_bloch", _bloch_coordinates(r.argmax_rho)))
+        if r.argmax_povm is not None:
+            results.append(_result(f"{name}_argmax_povm", _povm_summary(r.argmax_povm)))
+    for name in ("holevo", "uep"):  # each bounds the Shannon capacity from above
+        if "shannon" in values and name in values:
+            ok = values["shannon"] <= values[name] + 1e-4
+            results.append(_result(f"ordering_shannon_le_{name}", round(values[name] - values["shannon"], 9), 1e-4, ok))
+    return digest, results
 
 
-def cmd_identity_check(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _config_from_args(args)
+def cmd_identity_check(args, cfg: OptimizerConfig) -> tuple[str, list]:
     rng = np.random.default_rng(args.seed)
 
     worst_quantum = 0.0
@@ -206,95 +172,67 @@ def cmd_identity_check(args) -> int:
         split = classical_mutual_information(table.sum(axis=2)) + conditional_mutual_information(table)
         worst_classical = max(worst_classical, abs(joint - split))
 
-    ok_q = worst_quantum <= 1e-9
-    ok_c = worst_classical <= 1e-9
-    results = [
-        _result("max_gap_quantum_chain", worst_quantum, 1e-9, ok_q),
-        _result("max_gap_classical_chain", worst_classical, 1e-9, ok_c),
+    return "", [
+        _result("max_gap_quantum_chain", worst_quantum, 1e-9, worst_quantum <= 1e-9),
+        _result("max_gap_classical_chain", worst_classical, 1e-9, worst_classical <= 1e-9),
         _result("instances", args.instances),
     ]
-    _emit(_report("identity-check", "", cfg, results, args.seed, t0), args)
-    return EXIT_OK if (ok_q and ok_c) else EXIT_BOUND
 
 
-def cmd_additivity(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _config_from_args(args)
-    blobs = [Path(f).read_bytes() for f in args.channels]
-    channels = [load_channel(b.decode("utf-8")) for b in blobs]
-    digest = _digest(b"\n".join(blobs))
+def cmd_additivity(args, cfg: OptimizerConfig) -> tuple[str, list]:
+    digest, channels = _read_channels(*args.channels)
 
     if args.depth == 2:
         if len(channels) > 2:
             raise ChannelSpecError("depth 2 takes one or two channel files")
-        ch1 = channels[0]
-        ch2 = channels[1] if len(channels) > 1 else channels[0]
-        rep = additivity_experiment(ch1, ch2, cfg)
-        up_ok, lo_ok = rep.upper_bound_ok(), rep.lower_bound_ok()
-        results = [
+        rep = additivity_experiment(channels[0], channels[-1], cfg)  # one file pairs with itself
+        return digest, [
             _result("capacity_1", round(rep.capacity_1, 9)),
             _result("capacity_2", round(rep.capacity_2, 9)),
             _result("capacity_sum", round(rep.capacity_sum, 9)),
             _result("conditional_best", round(rep.conditional_best, 9)),
             _result("product_strategy", round(rep.product_value, 9)),
-            _result("upper_bound", round(rep.capacity_sum - rep.conditional_best, 9), 1e-4, up_ok),
-            _result("lower_bound", round(rep.product_value - rep.capacity_sum, 9), 2e-3, lo_ok),
+            _result("upper_bound", round(rep.capacity_sum - rep.conditional_best, 9), 1e-4, rep.upper_bound_ok()),
+            _result("lower_bound", round(rep.product_value - rep.capacity_sum, 9), 2e-3, rep.lower_bound_ok()),
         ]
-        _emit(_report("additivity", digest, cfg, results, args.seed, t0), args)
-        return EXIT_OK if (up_ok and lo_ok) else EXIT_BOUND
 
     if len(channels) != 1:
         raise ChannelSpecError("depth 3 takes exactly one channel file")
-    ch = channels[0]
-    value, _, _ = best_conditional_information([ch, ch, ch], cfg)  # first: it rejects a non-qubit output at once
-    single = shannon_capacity(ch, cfg)
+    value, _, _ = best_conditional_information(channels * 3, cfg)  # first: it rejects a non-qubit output at once
+    single = shannon_capacity(channels[0], cfg)
     bound = 3.0 * single.value
-    ok = value <= bound + 2e-3
-    results = [
+    return digest, [
         _result("single_copy_capacity", round(single.value, 9)),
         _result("conditional_best_depth3", round(value, 9)),
-        _result("upper_bound", round(bound - value, 9), 2e-3, ok),
+        _result("upper_bound", round(bound - value, 9), 2e-3, value <= bound + 2e-3),
     ]
-    _emit(_report("additivity", digest, cfg, results, args.seed, t0), args)
-    return EXIT_OK if ok else EXIT_BOUND
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _config_from_args(args)
+def cmd_sweep(args, cfg: OptimizerConfig) -> tuple[str, list]:
     family = _FAMILIES[args.family]
     span = (args.stop - args.start) / args.step + 1e-12  # in steps, with the end slack
     if span >= MAX_SWEEP_POINTS:
-        sys.stderr.write(f"error: --step {args.step} gives more than {MAX_SWEEP_POINTS} points\n")
-        return EXIT_USAGE
+        raise ChannelSpecError(f"--step {args.step} gives more than {MAX_SWEEP_POINTS} points")
     params = [round(args.start + i * args.step, 12) for i in range(math.floor(max(span, -1.0)) + 1)]
 
-    estimators = {"shannon": shannon_capacity, "holevo": holevo_capacity, "uep": measured_input_bound}
+    header = ["param", "shannon", "holevo", "uep", "holevo_minus_shannon", "strict_gap"]
     rows = []
     for p in params:
         ch = family(p)
         row = {"param": p}
-        for name, estimate in estimators.items():
+        for name, estimate in _ESTIMATORS.items():
             row[name] = estimate(ch, cfg).value if args.which in (name, "all") else float("nan")
         gap = row["holevo"] - row["shannon"]
         row["holevo_minus_shannon"] = gap
         row["strict_gap"] = int(gap > 1e-3) if np.isfinite(gap) else 0
-        rows.append(row)
+        rows.append({k: _csv_num(row[k]) for k in header})
 
-    header = ["param", "shannon", "holevo", "uep", "holevo_minus_shannon", "strict_gap"]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _csv_num(row[k]) for k in header})
-
-    results = [
-        {"name": "rows", "value": [{k: _csv_num(row[k]) for k in header} for row in rows]},
-        _result("csv_path", args.csv or ""),
-    ]
-    _emit(_report("sweep", _digest(f"{args.family}:{params}".encode()), cfg, results, args.seed, t0), args)
-    return EXIT_OK
+            writer.writerows(rows)
+    return _digest(f"{args.family}:{params}".encode()), [_result("rows", rows), _result("csv_path", args.csv or "")]
 
 
 def _csv_num(v):
@@ -303,22 +241,17 @@ def _csv_num(v):
     return v
 
 
-def cmd_channel_info(args) -> int:
-    t0 = time.perf_counter()
-    data = Path(args.channel).read_bytes()
-    ch = load_channel(data.decode("utf-8"))
+def cmd_channel_info(args, cfg: OptimizerConfig) -> tuple[str, list]:
+    digest, (ch,) = _read_channels(args.channel)
     comp = dual_apply(ch, np.eye(ch.dim_out))  # sum K†K
     unital_dev = float(np.max(np.abs(apply(ch, np.eye(ch.dim_in)) - np.eye(ch.dim_out))))  # sum KK† - I
-    cfg = _config_from_args(args)
-    results = [
+    return digest, [
         _result("dim_in", ch.dim_in),
         _result("dim_out", ch.dim_out),
         _result("kraus_count", len(ch.kraus)),
         _result("trace_preservation_deviation", float(np.max(np.abs(comp - np.eye(ch.dim_in))))),
         _result("unital_deviation", unital_dev),
     ]
-    _emit(_report("channel-info", _digest(data), cfg, results, args.seed, t0), args)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="capacity estimates for one channel")
     p.add_argument("channel", help="channel specification JSON file")
-    p.add_argument("--which", choices=["shannon", "holevo", "uep", "all"], default="all")
+    p.add_argument("--which", choices=[*_ESTIMATORS, "all"], default="all")
     common(p)
     p.set_defaults(func=cmd_capacity)
 
@@ -390,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=_finite_float, default=0.0)
     p.add_argument("--stop", type=_finite_float, default=1.0)
     p.add_argument("--step", type=_positive_float, default=0.1)
-    p.add_argument("--which", choices=["shannon", "holevo", "uep", "all"], default="all")
+    p.add_argument("--which", choices=[*_ESTIMATORS, "all"], default="all")
     p.add_argument("--csv", default="", help="write rows to this CSV path")
     common(p)
     p.set_defaults(func=cmd_sweep)
@@ -409,14 +342,33 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        cfg = OptimizerConfig(
+            restarts=args.restarts,
+            max_iters=args.max_iters,
+            tol=args.tol,
+            seed=args.seed,
+            ensemble_size_cap=args.ensemble_cap,
+            povm_size_cap=args.povm_cap,
+        )  # before any spec is read: a bad config exits 2 whatever the spec
+        digest, results = args.func(args, cfg)
     except (ChannelSpecError, DimensionMismatchError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InvariantViolation as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT
+    report = {
+        "command": args.command,
+        "channel_spec_digest": digest,
+        "config": asdict(cfg),  # every OptimizerConfig field, in declaration order
+        "results": results,
+        "seed": args.seed,
+        "wall_time": round(time.perf_counter() - t0, 3),
+    }
+    sys.stdout.write(json.dumps(report, indent=args.json_indent or None) + "\n")
+    return EXIT_BOUND if any(entry.get("passed") is False for entry in results) else EXIT_OK
 
 
 if __name__ == "__main__":

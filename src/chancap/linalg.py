@@ -207,11 +207,6 @@ def _eig_entropy_and_slope(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(kept * logs).sum(axis=-1), np.where(mask, logs + 1.0 / np.log(2.0), 0.0)
 
 
-def _eig_entropy_slope(lam: np.ndarray) -> np.ndarray:
-    """The slope of ``_eig_entropy_and_slope`` alone."""
-    return _eig_entropy_and_slope(lam)[1]
-
-
 def shannon_entropy(p):
     """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0.
 

@@ -1064,8 +1064,8 @@ class TestBlochGradients:
         # dS/dlam = -slope for kept eigenvalues; dropped ones (<= EIG_CLIP) count 0
         lam = np.array([0.7, 0.2, 1e-3, 0.5e-12, 0.0])
         want = _central_difference(cap._eig_entropy, lam[:3], h=1e-7)
-        np.testing.assert_allclose(-cap._eig_entropy_slope(lam[:3]), want, rtol=1e-7)
-        np.testing.assert_array_equal(cap._eig_entropy_slope(lam)[3:], 0.0)
+        np.testing.assert_allclose(-cap._eig_entropy_and_slope(lam[:3])[1], want, rtol=1e-7)
+        np.testing.assert_array_equal(cap._eig_entropy_and_slope(lam)[1][3:], 0.0)
 
     def test_mi_kernel_gradient(self):
         rng = np.random.default_rng(29)
@@ -1333,7 +1333,7 @@ class TestLeanLoopsBitIdentical:
             np.testing.assert_array_equal(ent, -(kept * np.log2(kept)).sum(axis=-1))
             np.testing.assert_array_equal(ent, cap._eig_entropy(lam))
             np.testing.assert_array_equal(slope, np.where(lam > EIG_CLIP, np.log2(kept) + 1.0 / np.log(2.0), 0.0))
-            np.testing.assert_array_equal(cap._eig_entropy_slope(lam), slope)
+            np.testing.assert_array_equal(cap._eig_entropy_and_slope(lam)[1], slope)
 
 
 class TestWarmStartChecks:

@@ -1,9 +1,13 @@
 import csv
+import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chancap import cli
+from chancap.adaptive import AdditivityReport
 from chancap.channels import QuantumChannel, channel_to_json, matrix_to_json, random_channel
 from chancap.cli import EXIT_BOUND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 
@@ -272,6 +276,48 @@ class TestConfigValidation:
         code = main(["identity-check", "--instances", "1", "--seed", "-1"])
         assert code == EXIT_INVARIANT
         assert "seed" in capsys.readouterr().err
+
+
+class TestBoundFailures:
+    """A failed check exits 3 with the whole report, marking only the failing entry."""
+
+    def failing(self, capsys, argv):
+        code, report = run(capsys, argv)
+        assert code == EXIT_BOUND
+        assert list(report) == ["command", "channel_spec_digest", "config", "results", "seed", "wall_time"]
+        return [entry["name"] for entry in report["results"] if entry.get("passed") is False], report
+
+    def test_holevo_below_shannon(self, capsys, monkeypatch, identity_spec):
+        holevo = cli._ESTIMATORS["holevo"]
+
+        @functools.wraps(holevo)
+        def low_holevo(ch, cfg):
+            return replace(holevo(ch, cfg), value=0.5)  # the identity's Shannon capacity is 1
+
+        monkeypatch.setitem(cli._ESTIMATORS, "holevo", low_holevo)
+        failed, report = self.failing(capsys, ["capacity", identity_spec, "--which", "all"] + FAST)
+        assert failed == ["ordering_shannon_le_holevo"]
+        assert result_value(report, "holevo_capacity") == 0.5
+        assert result_value(report, "ordering_shannon_le_uep") == pytest.approx(0.0, abs=1e-3)
+
+    def test_conditional_best_above_capacity_sum(self, capsys, monkeypatch, identity_spec):
+        monkeypatch.setattr(cli, "additivity_experiment", lambda ch1, ch2, cfg: AdditivityReport(1.0, 1.0, 2.5, 2.0))
+        failed, report = self.failing(capsys, ["additivity", identity_spec] + FAST)
+        assert failed == ["upper_bound"]
+        assert result_value(report, "upper_bound") == -0.5
+
+    def test_quantum_chain_gap(self, capsys, monkeypatch):
+        check = cli.chain_identity_check
+        monkeypatch.setattr(cli, "chain_identity_check", lambda *a: (*check(*a)[:2], 1e-6))
+        failed, report = self.failing(capsys, ["identity-check", "--instances", "3"] + FAST)
+        assert failed == ["max_gap_quantum_chain"]
+        assert result_value(report, "max_gap_quantum_chain") == 1e-6
+
+    @pytest.mark.parametrize("command", ["capacity", "channel-info", "additivity"])
+    def test_config_checked_before_spec(self, capsys, command):
+        assert main([command, "/nonexistent.json", "--restarts", "0"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "restarts" in captured.err
 
 
 class TestChannelInfoCommand:
