@@ -1,17 +1,20 @@
-"""Conditional (adaptive) product measurements on few-copy product channels.
+"""Adaptive product measurements on few-copy product channels.
 
-A conditional measurement applies a POVM to the first subsystem and, for each
-outcome, a possibly different POVM to the next; flattening the stages yields
-an ordinary POVM whose elements are tensor products indexed by outcome
-strings.  The experiments here probe how the optimised information of such
-strategies relates to the single-copy capacities.
+An :class:`AdaptiveStrategy` is a tree of POVMs: the stage applied to copy
+k depends on the outcomes observed on copies 0..k-1.  ``ConditionalPovm``
+builds the depth-2 tree from a first POVM and one second-stage POVM per
+first outcome.  Flattening a strategy yields an ordinary POVM whose
+elements are tensor products indexed by outcome strings.  The experiments
+here probe how the optimised information of such strategies relates to the
+single-copy capacities.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,27 +34,10 @@ from .capacity import (
     _search,
     _signal_information,
 )
-from .channels import PAULI, Povm, QuantumChannel, dual_apply, dual_povm, projective_povm
+from .channels import PAULI, Povm, QuantumChannel, dual_apply, dual_povm, identity_channel, projective_povm
 from .errors import DimensionMismatchError, InvariantViolation
 from .information import Ensemble, PROB_FLOOR, mutual_information
 from .linalg import ATOL_COMPLETENESS, hermitize, partial_trace, tensor, tensor_pairs
-
-
-@dataclass(frozen=True)
-class ConditionalPovm:
-    """Two-stage adaptive measurement: second-stage POVM depends on the first outcome."""
-
-    first: Povm
-    second: tuple[Povm, ...]
-
-    def __post_init__(self):
-        if len(self.second) != len(self.first.elements):
-            raise DimensionMismatchError(
-                f"{len(self.second)} second-stage POVMs for {len(self.first.elements)} first outcomes"
-            )
-        dims = {m.dim for m in self.second}
-        if len(dims) != 1:
-            raise DimensionMismatchError("second-stage POVMs act on different dimensions")
 
 
 @dataclass(frozen=True)
@@ -60,7 +46,8 @@ class AdaptiveStrategy:
 
     ``stages[prefix]`` is the POVM applied to subsystem ``len(prefix)`` after
     observing the outcome tuple ``prefix`` on the earlier subsystems.  Every
-    reachable prefix shorter than ``depth`` must be present.
+    reachable prefix shorter than ``depth`` must be present, no other prefix
+    may be, and the stages of one level act on one dimension.
     """
 
     depth: int
@@ -69,45 +56,54 @@ class AdaptiveStrategy:
     def __post_init__(self):
         if self.depth < 1:
             raise InvariantViolation("strategy depth must be at least 1")
-        if () not in self.stages:
-            raise InvariantViolation("strategy must define the stage for the empty prefix")
-        for prefix in self._prefixes():
-            if prefix not in self.stages:
-                raise InvariantViolation(f"missing stage POVM for outcome prefix {prefix}")
+        levels = self.levels
+        on_tree = {prefix for level in levels[:-1] for prefix in level}
+        off_tree = next((prefix for prefix in self.stages if prefix not in on_tree), None)
+        if off_tree is not None:
+            raise InvariantViolation(f"stage for outcome prefix {off_tree} lies off the outcome tree")
+        for k, level in enumerate(levels[:-1]):
+            if len({self.stages[prefix].dim for prefix in level}) != 1:
+                raise DimensionMismatchError(f"stages for level {k} act on different dimensions")
 
-    def _prefixes(self):
-        frontier = [()]
-        for _ in range(self.depth - 1):
-            nxt = []
-            for prefix in frontier:
-                povm = self.stages.get(prefix)
-                if povm is None:
-                    yield prefix  # caught by the validation loop
-                    continue
-                for b in range(len(povm.elements)):
-                    nxt.append(prefix + (b,))
-            frontier = nxt
-            yield from frontier
+    @functools.cached_property
+    def levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The outcome tree level by level: entry k lists the outcome strings of length k.
+
+        Each level is in lexicographic order; entries 0..depth-1 are the stage
+        prefixes and entry ``depth`` the outcome strings of the flattened POVM.
+        """
+        walk = [((),)]
+        for _ in range(self.depth):
+            missing = next((prefix for prefix in walk[-1] if prefix not in self.stages), None)
+            if missing is not None:
+                raise InvariantViolation(f"missing stage POVM for outcome prefix {missing}")
+            walk.append(tuple(prefix + (b,) for prefix in walk[-1] for b in range(len(self.stages[prefix]))))
+        return tuple(walk)
 
     def stage(self, prefix: tuple[int, ...]) -> Povm:
         return self.stages[prefix]
 
 
-def flatten(measurement: ConditionalPovm | AdaptiveStrategy) -> Povm:
+def ConditionalPovm(first: Povm, second: Sequence[Povm]) -> AdaptiveStrategy:
+    """Two-stage adaptive measurement: ``second[b]`` measures the second subsystem after first outcome b."""
+    if len(second) != len(first):
+        raise DimensionMismatchError(f"{len(second)} second-stage POVMs for {len(first)} first outcomes")
+    return AdaptiveStrategy(2, {(): first, **{(b,): povm for b, povm in enumerate(second)}})
+
+
+def flatten(strategy: AdaptiveStrategy) -> Povm:
     """Flatten an adaptive measurement into one POVM on the product space.
 
     Elements are the tensor products along each outcome path, ordered
     lexicographically by outcome string; completeness of the result is
     re-verified and a violation names the offending first-stage outcome.
     """
-    strategy = as_strategy(measurement)
-    paths, flat = [()], np.ones((1, 1, 1), dtype=complex)
-    for _ in range(strategy.depth):  # one tensor product per stage level, left to right along each path
-        stages = [np.asarray(strategy.stage(p).elements) for p in paths]
+    flat = np.ones((1, 1, 1), dtype=complex)
+    for level in strategy.levels[:-1]:  # one tensor product per stage level, left to right along each path
+        stages = [strategy.stage(prefix).elements for prefix in level]
         flat = tensor(np.repeat(flat, [len(s) for s in stages], axis=0), np.concatenate(stages))
-        paths = [p + (c,) for p, s in zip(paths, stages) for c in range(len(s))]
-    first = np.asarray(strategy.stage(()).elements)
-    starts = np.searchsorted([p[0] for p in paths], np.arange(len(first)))
+    first = strategy.stage(()).elements
+    starts = np.searchsorted([path[0] for path in strategy.levels[-1]], np.arange(len(first)))
     totals = np.add.reduceat(flat, starts, axis=0)
     expect = tensor(first, np.eye(flat.shape[-1] // first.shape[-1], dtype=complex))
     bad = np.abs(totals - expect).max(axis=(1, 2)) > ATOL_COMPLETENESS
@@ -118,20 +114,8 @@ def flatten(measurement: ConditionalPovm | AdaptiveStrategy) -> Povm:
     return Povm(flat)
 
 
-def as_strategy(measurement: ConditionalPovm | AdaptiveStrategy) -> AdaptiveStrategy:
-    if isinstance(measurement, AdaptiveStrategy):
-        return measurement
-    stages: dict[tuple[int, ...], Povm] = {(): measurement.first}
-    for b, povm in enumerate(measurement.second):
-        stages[(b,)] = povm
-    return AdaptiveStrategy(2, stages)
-
-
-def dual_conditional(
-    channels: list[QuantumChannel], measurement: ConditionalPovm | AdaptiveStrategy
-) -> AdaptiveStrategy:
+def dual_conditional(channels: list[QuantumChannel], strategy: AdaptiveStrategy) -> AdaptiveStrategy:
     """Pull every stage POVM back through its copy's channel."""
-    strategy = as_strategy(measurement)
     if len(channels) != strategy.depth:
         raise DimensionMismatchError(f"{len(channels)} channels for depth {strategy.depth}")
     stages = {
@@ -146,7 +130,7 @@ def dual_conditional(
 
 def first_stage_ensemble(e12: Ensemble, dims: tuple[int, int]) -> Ensemble:
     """Reduced ensemble on the first subsystem."""
-    return Ensemble(e12.probs, partial_trace(np.asarray(e12.states), list(dims), keep=[0]))
+    return Ensemble(e12.probs, partial_trace(e12.states, list(dims), keep=[0]))
 
 
 def second_stage_ensemble(
@@ -163,14 +147,13 @@ def second_stage_ensemble(
     ``(None, 0.0)`` when the outcome probability is below the floor.
     """
     effect = tensor(dual_apply(ch1, m1.elements[b]), np.eye(dims[1], dtype=complex))
-    states = np.asarray(e12.states)
-    p_b_given_j = np.clip(np.einsum("jab,ba->j", states, effect).real, 0.0, None)
+    p_b_given_j = np.clip(np.einsum("jab,ba->j", e12.states, effect).real, 0.0, None)
     p_b = float(e12.probs @ p_b_given_j)
     if p_b <= PROB_FLOOR:
         return None, 0.0
     weights = p_b_given_j * e12.probs / p_b
     live = weights > PROB_FLOOR
-    blocks = partial_trace(states[live] @ effect, list(dims), keep=[1])
+    blocks = partial_trace(e12.states[live] @ effect, list(dims), keep=[1])
     lam, vec = np.linalg.eigh(hermitize(blocks, atol=1e-10))
     lam = np.clip(lam, 0.0, None)
     conditional = (vec * (lam / lam.sum(axis=-1, keepdims=True))[:, None, :]) @ vec.conj().swapaxes(-1, -2)
@@ -182,7 +165,7 @@ def chain_identity_check(
     e12: Ensemble,
     ch1: QuantumChannel,
     ch2: QuantumChannel,
-    cp: ConditionalPovm,
+    strategy: AdaptiveStrategy,
 ) -> tuple[float, float, float]:
     """Two routes to the information of a two-stage adaptive measurement.
 
@@ -191,15 +174,15 @@ def chain_identity_check(
     conditional second-stage informations.  Returns (lhs, rhs, gap).
     """
     dims = (ch1.dim_in, ch2.dim_in)
-    dual = dual_conditional([ch1, ch2], cp)
+    dual = dual_conditional([ch1, ch2], strategy)
     lhs = mutual_information(e12, flatten(dual))
 
     rhs = mutual_information(first_stage_ensemble(e12, dims), dual.stage(()))
-    for b in range(len(cp.first.elements)):
-        e2, p_b = second_stage_ensemble(e12, ch1, cp.first, b, dims)
+    for prefix in strategy.levels[1]:
+        e2, p_b = second_stage_ensemble(e12, ch1, strategy.stage(()), prefix[0], dims)
         if e2 is None:
             continue
-        rhs += p_b * mutual_information(e2, dual.stage((b,)))
+        rhs += p_b * mutual_information(e2, dual.stage(prefix))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -332,7 +315,7 @@ def best_conditional_information(
 
     def finish(x, *_):  # cold, like the sweep solves
         c, weights = blahut_arimoto(kernel(x), tol=1e-10, max_iters=3000)
-        return c, (Ensemble(weights, tuple(pure_states_from_params(x[:ns], dim_total, n_states))), x[ns:])
+        return c, (Ensemble(weights, pure_states_from_params(x[:ns], dim_total, n_states)), x[ns:])
 
     (ens, xm), _ = _search(
         cfg,
@@ -404,7 +387,7 @@ def product_strategy_value(
     """Information of the product ensemble and unconditioned product POVM."""
     states = _product_ensemble(r1, r2).states
     dual = Povm(tensor_pairs(dual_apply(ch1, r1.argmax_povm.elements), dual_apply(ch2, r2.argmax_povm.elements)))
-    kern = _kernel(np.stack(states), np.stack(dual.elements))
+    kern = _kernel(states, dual.elements)
     _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
     return mutual_information(Ensemble(weights, states), dual)
 
@@ -449,7 +432,7 @@ def _product_ensemble(r1: CapacityResult, r2: CapacityResult) -> Ensemble:
 
 def _projective_like(m: Povm) -> Povm:
     """Nearest two-outcome projective measurement to a qubit POVM's strongest axis."""
-    bloch = 2.0 * _pauli_form(np.stack(m.elements))[1]
+    bloch = 2.0 * _pauli_form(m.elements)[1]
     norms = [np.linalg.norm(n) for n in bloch]
     i = int(np.argmax(norms))
     return projective_povm(bloch[i] / norms[i] if norms[i] >= 1e-9 else np.array([0.0, 0.0, 1.0]))
@@ -473,7 +456,7 @@ class FixedMeasurementReport:
 
 def fixed_measurement_additivity(
     channels: list[QuantumChannel],
-    strategy: AdaptiveStrategy | ConditionalPovm,
+    strategy: AdaptiveStrategy,
     cfg: OptimizerConfig,
 ) -> FixedMeasurementReport:
     """Ensemble-only optimisation at a fixed adaptive measurement.
@@ -484,18 +467,10 @@ def fixed_measurement_additivity(
     stage's prefix-dependent POVMs).  When every stage reuses one POVM, the
     joint value matches the stage sum up to optimizer noise.
     """
-    strategy = as_strategy(strategy)
     flat = flatten(dual_conditional(channels, strategy))
-    dim_total = int(np.prod([c.dim_in for c in channels]))
-    joint = fixed_measurement_capacity(None, flat, cfg, dim=dim_total)
-
-    stage_values = []
-    prefixes = [()]
-    for k, ch in enumerate(channels):
-        best_stage = 0.0
-        for prefix in prefixes:
-            res = fixed_measurement_capacity(ch, strategy.stage(prefix), cfg)
-            best_stage = max(best_stage, res.value)
-        stage_values.append(best_stage)
-        prefixes = [p + (b,) for p in prefixes for b in range(len(strategy.stage(p).elements))]
-    return FixedMeasurementReport(joint.value, tuple(stage_values))
+    joint = fixed_measurement_capacity(identity_channel(flat.dim), flat, cfg)
+    stage_values = tuple(
+        max(0.0, *(fixed_measurement_capacity(ch, strategy.stage(prefix), cfg).value for prefix in level))
+        for ch, level in zip(channels, strategy.levels)
+    )
+    return FixedMeasurementReport(joint.value, stage_values)

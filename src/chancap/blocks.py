@@ -22,13 +22,15 @@ class BlockDiagonalState:
 
     ``axes`` names the classical factors (one letter each, e.g. ("A", "B"))
     and ``quantum_axis`` names the matrix factor.  ``labels[i]`` gives the
-    classical indices of ``blocks[i]``.  Total trace must be 1.
+    classical indices of ``blocks[i]``.  ``blocks`` may be given as a
+    sequence of matrices or as one (n, d, d) stack; it is stored as one
+    read-only complex (n, d, d) array.  Total trace must be 1.
     """
 
     axes: tuple[str, ...]
     quantum_axis: str
     labels: tuple[tuple[int, ...], ...]
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
         if len(self.labels) != len(self.blocks):
@@ -47,15 +49,15 @@ class BlockDiagonalState:
         if abs(total - 1.0) > 1e-9:
             raise InvariantViolation(f"blocks have total trace {total!r}, expected 1")
         object.__setattr__(self, "labels", tuple(tuple(map(int, lab)) for lab in self.labels))
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def block_dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[-1]
 
     def trace_table(self) -> np.ndarray:
         """Traces of the blocks arranged as an array over the classical axes."""
-        traces = np.trace(np.asarray(self.blocks), axis1=1, axis2=2).real
+        traces = np.trace(self.blocks, axis1=1, axis2=2).real
         if not self.axes:
             return np.array([traces.sum()])
         index = np.array(self.labels).T
@@ -72,7 +74,7 @@ class BlockDiagonalState:
 
 def block_entropy(state: BlockDiagonalState) -> float:
     """Entropy of the direct sum, in bits: sum of per-block -Tr[B log2 B]."""
-    return float(np.sum(entropy(np.asarray(state.blocks))))
+    return float(np.sum(entropy(state.blocks)))
 
 
 def entropy_decomposition(state: BlockDiagonalState) -> tuple[float, float]:
@@ -81,10 +83,9 @@ def entropy_decomposition(state: BlockDiagonalState) -> tuple[float, float]:
     Returns (shannon entropy of the block traces, trace-weighted sum of the
     entropies of the normalised blocks); their sum equals block_entropy.
     """
-    blocks = np.asarray(state.blocks)
-    traces = np.trace(blocks, axis1=1, axis2=2).real
+    traces = np.trace(state.blocks, axis1=1, axis2=2).real
     live = traces > 1e-12
-    cond = np.sum(traces[live] * entropy(blocks[live] / traces[live, None, None]))
+    cond = np.sum(traces[live] * entropy(state.blocks[live] / traces[live, None, None]))
     return shannon_entropy(traces), float(cond)
 
 
@@ -96,9 +97,8 @@ def block_relative_entropy(p: BlockDiagonalState, q: BlockDiagonalState) -> floa
     """
     if p.labels != q.labels:
         raise DimensionMismatchError("block label structures differ")
-    bp, bq = np.asarray(p.blocks), np.asarray(q.blocks)
-    live = (np.trace(bp, axis1=1, axis2=2).real > 1e-12)[:, None, None]
-    return float(np.sum(relative_entropy(np.where(live, bp, 0.0), np.where(live, bq, 0.0))))
+    live = (np.trace(p.blocks, axis1=1, axis2=2).real > 1e-12)[:, None, None]
+    return float(np.sum(relative_entropy(np.where(live, p.blocks, 0.0), np.where(live, q.blocks, 0.0))))
 
 
 def scaled_block_state(
@@ -145,13 +145,12 @@ def reduction(state: BlockDiagonalState, which: str):
         order = [sorted(positions).index(p) for p in positions]
         return out.transpose(order) if out.ndim > 1 else out
 
-    blocks = np.asarray(state.blocks)
     if not keep_axes:
-        return blocks.sum(axis=0)
+        return state.blocks.sum(axis=0)
 
     keys = [tuple(lab[p] for p in positions) for lab in state.labels]
     labels = sorted(set(keys))
     slot = {key: i for i, key in enumerate(labels)}
-    merged = np.zeros((len(labels),) + blocks.shape[1:], dtype=complex)
-    np.add.at(merged, [slot[key] for key in keys], blocks)
+    merged = np.zeros((len(labels),) + state.blocks.shape[1:], dtype=complex)
+    np.add.at(merged, [slot[key] for key in keys], state.blocks)
     return BlockDiagonalState(tuple(keep_axes), state.quantum_axis, tuple(labels), merged)

@@ -43,7 +43,6 @@ from .information import (
     channel_mutual_information,
     holevo_information,
     measured_input_information,
-    mutual_information,
 )
 from .linalg import EIG_CLIP, _eig_entropy, _eig_entropy_and_slope, frozen
 
@@ -416,8 +415,7 @@ def n_density_params(dim: int) -> int:
 
 def _dual_matrix(ch: QuantumChannel) -> np.ndarray:
     """(d_out^2, d_in^2) matrix D with vec(dual(E)) = vec(E) D."""
-    kr = np.stack(ch.kraus)
-    return np.einsum("kxa,kyb->xyab", kr.conj(), kr).reshape(ch.dim_out ** 2, ch.dim_in ** 2)
+    return np.einsum("kxa,kyb->xyab", ch.kraus.conj(), ch.kraus).reshape(ch.dim_out ** 2, ch.dim_in ** 2)
 
 
 def _rank_one(u: np.ndarray) -> np.ndarray:
@@ -814,7 +812,7 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
         elements = povm_elements_from_params(cat[ns:], dout, n_out)
         kernel = _kernel(states, elements.reshape(n_out, -1) @ dual)
         _, weights = blahut_arimoto(kernel, tol=1e-10, max_iters=3000, init_weights=w)
-        ensemble, povm = Ensemble(weights, tuple(states)), Povm(tuple(elements))
+        ensemble, povm = Ensemble(weights, states), Povm(elements)
         value = channel_mutual_information(ch, ensemble, povm)
         return value, CapacityResult(value, ensemble, povm, converged=converged)
 
@@ -829,31 +827,20 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
     return replace(best, restarts_used=runs)
 
 
-def fixed_measurement_capacity(
-    ch: QuantumChannel | None,
-    m: Povm,
-    cfg: OptimizerConfig,
-    dim: int | None = None,
-) -> CapacityResult:
+def fixed_measurement_capacity(ch: QuantumChannel, m: Povm, cfg: OptimizerConfig) -> CapacityResult:
     """Best feasible mutual information over ensembles at a fixed measurement.
 
-    With a channel, optimises signals against the pulled-back POVM; without
-    one, the POVM acts directly on the signal space (``dim`` defaults to the
-    POVM dimension).
+    Optimises the signals against the POVM pulled back through the channel.
     """
-    effects = np.stack(m.elements).reshape(len(m.elements), -1)
-    if ch is not None:
-        effects = effects @ _dual_matrix(ch)
-        din = ch.dim_in
-    else:
-        din = dim if dim is not None else m.dim
+    effects = m.elements.reshape(len(m), -1) @ _dual_matrix(ch)
+    din = ch.dim_in
     n_states = max(cfg.ensemble_size_cap, 2)
 
     def finish(xs, _, converged, w):
         states = pure_states_from_params(xs, din, n_states)
         _, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000, init_weights=w)
-        ensemble = Ensemble(weights, tuple(states))
-        value = mutual_information(ensemble, m) if ch is None else channel_mutual_information(ch, ensemble, m)
+        ensemble = Ensemble(weights, states)
+        value = channel_mutual_information(ch, ensemble, m)
         return value, CapacityResult(value, ensemble, m, converged=converged)
 
     best, runs = _search(
@@ -864,7 +851,7 @@ def fixed_measurement_capacity(
         [(slice(None), lambda _, w: _signal_information(w, effects, din, n_states))],
         lambda restart, rng, draw: _signal_inits(din, n_states, restart, draw),
         finish,
-        ceiling=min(np.log2(din), np.log2(len(m.elements))),
+        ceiling=min(np.log2(din), np.log2(len(m))),
     )
     return replace(best, restarts_used=runs)
 
@@ -930,7 +917,7 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
 
     def finish(xs, _, converged, w):
         _, weights = max_holevo_weights(outputs_of(xs), tol=1e-11, max_iters=3000, init_weights=w)
-        ensemble = Ensemble(weights, tuple(pure_states_from_params(xs, din, n_states)))
+        ensemble = Ensemble(weights, pure_states_from_params(xs, din, n_states))
         value = holevo_information(ch, ensemble)
         return value, CapacityResult(value, ensemble, converged=converged)
 
@@ -988,7 +975,7 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
         ceiling=np.log2(min(din, dout)),
     )
     rho = density_from_params(best_x[:nr], din)
-    povm = Povm(tuple(povm_elements_from_params(best_x[nr:], dout, n_out)))
+    povm = Povm(povm_elements_from_params(best_x[nr:], dout, n_out))
     return CapacityResult(measured_input_information(ch, rho, povm), None, povm, frozen(rho), runs, best_conv)
 
 
@@ -1038,8 +1025,7 @@ def _ellipsoid_povm_init(ch: QuantumChannel, n_out: int) -> np.ndarray:
 
 def _bloch_of_outputs(ch: QuantumChannel, bloch_in: np.ndarray) -> np.ndarray:
     """Map input Bloch vectors through the channel, returning output Bloch vectors."""
-    kr = np.stack(ch.kraus)
-    outs = np.einsum("kai,jib,kcb->jac", kr, _bloch_state(bloch_in), kr.conj())
+    outs = np.einsum("kai,jib,kcb->jac", ch.kraus, _bloch_state(bloch_in), ch.kraus.conj())
     return 2.0 * _pauli_form(outs)[1]
 
 

@@ -38,10 +38,10 @@ class Povm:
     """Positive operator valued measurement: PSD elements summing to identity.
 
     ``elements`` may be given as a sequence of matrices or as one (n, d, d)
-    stack; it is stored as a tuple of read-only views of one frozen stack.
+    stack; it is stored as one read-only complex (n, d, d) array.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
         if len(self.elements) == 0:
@@ -60,11 +60,11 @@ class Povm:
         dev = np.max(np.abs(elems.sum(axis=0) - np.eye(d)))
         if dev > ATOL_COMPLETENESS:
             raise InvariantViolation(f"POVM completeness violated: max |sum E - I| = {dev:.3e}")
-        object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -74,10 +74,11 @@ class Povm:
 class QuantumChannel:
     """CPTP map held as a Kraus family; immutable after construction.
 
-    ``kraus`` is stored as a tuple of read-only views of one frozen stack.
+    ``kraus`` may be given as a sequence of matrices or as one (n, d_out,
+    d_in) stack; it is stored as one read-only complex array of that shape.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
         if len(self.kraus) == 0:
@@ -87,15 +88,15 @@ class QuantumChannel:
         dev = np.max(np.abs((_dagger(ops) @ ops).sum(axis=0) - np.eye(cols)))
         if dev > ATOL_COMPLETENESS:
             raise InvariantViolation(f"trace preservation violated: max |sum K†K - I| = {dev:.3e}")
-        object.__setattr__(self, "kraus", tuple(ops))
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[-1]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-2]
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply(self, rho)
@@ -111,8 +112,7 @@ def apply(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state of shape {rho.shape} incompatible with channel input dimension {ch.dim_in}"
         )
-    kr = np.asarray(ch.kraus)
-    return (kr @ rho[..., None, :, :] @ _dagger(kr)).sum(axis=-3)
+    return (ch.kraus @ rho[..., None, :, :] @ _dagger(ch.kraus)).sum(axis=-3)
 
 
 def dual_apply(ch: QuantumChannel, e: np.ndarray) -> np.ndarray:
@@ -127,8 +127,7 @@ def dual_apply(ch: QuantumChannel, e: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator of shape {e.shape} incompatible with channel output dimension {ch.dim_out}"
         )
-    kr = np.asarray(ch.kraus)
-    return (_dagger(kr) @ e[..., None, :, :] @ kr).sum(axis=-3)
+    return (_dagger(ch.kraus) @ e[..., None, :, :] @ ch.kraus).sum(axis=-3)
 
 
 def dual_povm(ch: QuantumChannel, m: Povm) -> Povm:
@@ -171,7 +170,7 @@ def depolarizing_channel(p: float) -> QuantumChannel:
         raise InvariantViolation(f"depolarizing parameter {p} outside [0, 1]")
     ops = [np.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex)]
     ops += [np.sqrt(p / 4.0) * s for s in PAULI]
-    return QuantumChannel(tuple(o for o in ops if np.max(np.abs(o)) > 0))
+    return QuantumChannel([o for o in ops if np.max(np.abs(o)) > 0])
 
 
 def bit_flip_channel(p: float) -> QuantumChannel:
@@ -191,7 +190,7 @@ def bit_flip_channel(p: float) -> QuantumChannel:
             k = np.zeros((2, 2), dtype=complex)
             k[out, inp] = a
             ops.append(k)
-    return QuantumChannel(tuple(ops))
+    return QuantumChannel(ops)
 
 
 def amplitude_damping_channel(gamma: float) -> QuantumChannel:
@@ -220,10 +219,8 @@ def omega_channel(states: list[np.ndarray], povm: Povm) -> QuantumChannel:
     The Kraus family is assembled from the eigendecompositions of the R_k and
     X_k, so the returned object carries the usual CPTP guarantees.
     """
-    if len(states) != len(povm.elements):
-        raise DimensionMismatchError(
-            f"{len(states)} output states vs {len(povm.elements)} POVM elements"
-        )
+    if len(states) != len(povm):
+        raise DimensionMismatchError(f"{len(states)} output states vs {len(povm)} POVM elements")
     states = hermitize(frozen_stack(states, "output state"))
     lr, vr = np.linalg.eigh(states)
     tr = np.trace(states, axis1=1, axis2=2).real
@@ -231,7 +228,7 @@ def omega_channel(states: list[np.ndarray], povm: Povm) -> QuantumChannel:
         (lr[:, 0] < -ATOL_PSD, lambda k: InvariantViolation(f"output state {k} not PSD: min eigenvalue {lr[k, 0]:.3e}")),
         (np.abs(tr - 1.0) > 1e-9, lambda k: InvariantViolation(f"output state {k} trace {tr[k]!r} differs from 1")),
     )
-    lx, vx = np.linalg.eigh(hermitize(np.asarray(povm.elements)))
+    lx, vx = np.linalg.eigh(hermitize(povm.elements))
     # sqrt(lr_ka lx_kc) |r_ka><x_kc| over eigenpairs above EIG_CLIP, in (k, a, c) order
     keep = (lr > EIG_CLIP)[:, :, None] & (lx > EIG_CLIP)[:, None, :]
     amp = np.sqrt(np.where(keep, lr[:, :, None] * lx[:, None, :], 0.0))
@@ -241,7 +238,7 @@ def omega_channel(states: list[np.ndarray], povm: Povm) -> QuantumChannel:
 
 def measurement_channel(m: Povm) -> QuantumChannel:
     """Measure with the POVM and record the outcome in a basis state."""
-    return omega_channel(basis_povm(len(m.elements)).elements, m)
+    return omega_channel(basis_povm(len(m)).elements, m)
 
 
 def measured_channel(ch: QuantumChannel, m: Povm) -> QuantumChannel:
@@ -312,7 +309,7 @@ def random_channel(dim: int, kraus_rank: int, seed: int) -> QuantumChannel:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     q = q * np.where(np.abs(d) > 0, np.sign(d), 1.0)  # fix the QR gauge so the draw is canonical
-    return QuantumChannel(tuple(q[k * dim:(k + 1) * dim, :] for k in range(kraus_rank)))
+    return QuantumChannel(q.reshape(kraus_rank, dim, dim))
 
 
 def _matrix_from_json(obj, where: str) -> np.ndarray:
@@ -377,10 +374,10 @@ def load_channel(text: str) -> QuantumChannel:
             return unitary_channel(_matrix_from_json(need("matrix"), "matrix"))
         if kind == "kraus":
             ops = [_matrix_from_json(m, f"operators[{i}]") for i, m in enumerate(need("operators"))]
-            return QuantumChannel(tuple(ops))
+            return QuantumChannel(ops)
         if kind == "qc":
             states = [_matrix_from_json(m, f"states[{i}]") for i, m in enumerate(need("states"))]
-            povm = Povm(tuple(_matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(need("povm"))))
+            povm = Povm([_matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(need("povm"))])
             return omega_channel(states, povm)
     except (ValueError, TypeError, DimensionMismatchError) as exc:
         raise ChannelSpecError(f"kind '{kind}': {exc}") from exc

@@ -105,7 +105,7 @@ def _bloch_coordinates(state: np.ndarray) -> list[float]:
 def _povm_summary(m: Povm) -> list:
     if m.dim != 2:
         return [{"element": i, "trace": float(np.trace(e).real)} for i, e in enumerate(m.elements)]
-    w0, w = _pauli_form(np.stack(m.elements))
+    w0, w = _pauli_form(m.elements)
     return [{"element": i, "w0": round(float(w0[i]), 9), "w": [round(c, 9) for c in w[i]]} for i in range(len(w))]
 
 

@@ -36,10 +36,15 @@ PROB_FLOOR = 1e-12  # outcomes or weights at or below this contribute 0 to all s
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Probability weights paired with signal states of one common dimension."""
+    """Probability weights paired with signal states of one common dimension.
+
+    ``states`` may be given as a sequence of density matrices or as one
+    (n, d, d) stack; it is stored as one read-only complex (n, d, d) array,
+    and ``probs`` as a read-only vector.
+    """
 
     probs: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
 
     def __post_init__(self):
         probs = clean_probability_vector(self.probs)
@@ -49,17 +54,17 @@ class Ensemble:
             )
         states = assert_density_matrix(frozen_stack(self.states, "ensemble state"))
         object.__setattr__(self, "probs", frozen(probs))
-        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[-1]
 
     def __len__(self) -> int:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        return assert_density_matrix((self.probs[:, None, None] * np.asarray(self.states)).sum(axis=0))
+        return assert_density_matrix((self.probs[:, None, None] * self.states).sum(axis=0))
 
 
 def pure_state(vec: np.ndarray) -> np.ndarray:
@@ -81,7 +86,7 @@ def output_ensemble(ch: QuantumChannel, e: Ensemble) -> Ensemble:
 
 def outcome_distribution(rho: np.ndarray, m: Povm) -> np.ndarray:
     """Outcome probabilities Tr[rho E_b]; a stack of states gives one row per state."""
-    p = np.einsum("...ab,mba->...m", rho, np.asarray(m.elements)).real
+    p = np.einsum("...ab,mba->...m", rho, m.elements).real
     return np.clip(p, 0.0, None)
 
 
@@ -93,7 +98,7 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
     """
     if e.dim != m.dim:
         raise DimensionMismatchError(f"ensemble dimension {e.dim} != POVM dimension {m.dim}")
-    per_state = outcome_distribution(np.asarray(e.states), m)
+    per_state = outcome_distribution(e.states, m)
     live = e.probs > PROB_FLOOR
     val = shannon_entropy(e.probs @ per_state) - float(np.sum(e.probs[live] * shannon_entropy(per_state[live])))
     return max(val, 0.0)
@@ -156,9 +161,9 @@ def joint_block_state(
     if e.dim != ch.dim_in or m.dim != ch.dim_out:
         raise DimensionMismatchError("channel, ensemble and POVM dimensions are inconsistent")
     if dual_side:
-        effects, carriers = dual_apply(ch, m.elements), np.asarray(e.states)
+        effects, carriers = dual_apply(ch, m.elements), e.states
     else:
-        effects, carriers = np.asarray(m.elements), apply(ch, e.states)
+        effects, carriers = m.elements, apply(ch, e.states)
     roots = matrix_sqrt(carriers)[:, None]
     blocks = e.probs[:, None, None, None] * (roots @ effects @ roots)
     labels = tuple(np.ndindex(blocks.shape[:2]))
@@ -171,7 +176,7 @@ def input_outcome_block_state(ch: QuantumChannel, rho: np.ndarray, m: Povm) -> B
     if rho.shape[0] != ch.dim_in or m.dim != ch.dim_out:
         raise DimensionMismatchError("channel, state and POVM dimensions are inconsistent")
     root = matrix_sqrt(rho)
-    labels = tuple((b,) for b in range(len(m.elements)))
+    labels = tuple((b,) for b in range(len(m)))
     return BlockDiagonalState(("B",), "R", labels, root @ dual_apply(ch, m.elements) @ root)
 
 

@@ -38,7 +38,7 @@ def random_probability_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_ensemble(dim: int, n_states: int, rng: np.random.Generator, pure: bool = True) -> Ensemble:
     probs = random_probability_vector(n_states, rng)
     maker = random_pure_state if pure else random_density_matrix
-    return Ensemble(probs, tuple(maker(dim, rng) for _ in range(n_states)))
+    return Ensemble(probs, [maker(dim, rng) for _ in range(n_states)])
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
@@ -53,7 +53,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
         seeds.append(g @ g.conj().T)
     total = sum(seeds)
     isq = matrix_pinv_sqrt(total)
-    return Povm(tuple(isq @ a @ isq for a in seeds))
+    return Povm([isq @ a @ isq for a in seeds])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,7 +5,6 @@ from chancap.adaptive import (
     AdaptiveStrategy,
     ConditionalPovm,
     additivity_experiment,
-    as_strategy,
     best_conditional_information,
     chain_identity_check,
     dual_conditional,
@@ -91,11 +90,20 @@ class TestFlatten:
         with pytest.raises(InvariantViolation):
             AdaptiveStrategy(2, {(): basis_povm(2), (0,): basis_povm(2)})
 
+    def test_off_tree_stage_rejected(self):
+        stages = {(): basis_povm(2), (0,): basis_povm(2), (1,): basis_povm(2)}
+        for extra in [(5,), (0, 0)]:
+            with pytest.raises(InvariantViolation, match="off the outcome tree"):
+                AdaptiveStrategy(2, {**stages, extra: basis_povm(2)})
+
+    def test_mixed_dimension_level_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="different dimensions"):
+            AdaptiveStrategy(2, {(): basis_povm(2), (0,): basis_povm(2), (1,): basis_povm(3)})
+
     def test_corrupted_branch_names_outcome(self):
-        cp = ConditionalPovm(basis_povm(2), (basis_povm(2), basis_povm(2)))
-        strategy = as_strategy(cp)
+        strategy = ConditionalPovm(basis_povm(2), (basis_povm(2), basis_povm(2)))
         bad = basis_povm(2)
-        object.__setattr__(bad, "elements", (bad.elements[0] * 0.5, bad.elements[1]))
+        object.__setattr__(bad, "elements", bad.elements * np.array([0.5, 1.0])[:, None, None])
         stages = dict(strategy.stages)
         stages[(1,)] = bad
         broken = AdaptiveStrategy(2, stages)
@@ -164,7 +172,7 @@ class TestInducedEnsembles:
             ch1, _, e12, cp = random_adaptive_instance(400 + seed)
             total = 0.0
             for b in range(2):
-                result = second_stage_ensemble(e12, ch1, cp.first, b, (2, 2))
+                result = second_stage_ensemble(e12, ch1, cp.stage(()), b, (2, 2))
                 total += result[1]
             assert abs(total - 1.0) < 1e-10
 
@@ -173,9 +181,9 @@ class TestInducedEnsembles:
 
         for seed in range(10):
             ch1, _, e12, cp = random_adaptive_instance(500 + seed)
-            f0 = dual_povm(ch1, cp.first).elements[0]
+            f0 = dual_povm(ch1, cp.stage(())).elements[0]
             expected = np.trace(e12.average_state() @ tensor(f0, np.eye(2))).real
-            _, p_b = second_stage_ensemble(e12, ch1, cp.first, 0, (2, 2))
+            _, p_b = second_stage_ensemble(e12, ch1, cp.stage(()), 0, (2, 2))
             assert abs(p_b - expected) < 1e-10
 
 
@@ -201,8 +209,7 @@ class TestChainIdentity:
         _, e12, strat = best_conditional_information(
             [ch1, ch2], budget, init_ensemble=_product_ensemble(r1, r2), init_strategy=init
         )
-        cp = ConditionalPovm(strat.stage(()), (strat.stage((0,)), strat.stage((1,))))
-        _, _, gap = chain_identity_check(e12, ch1, ch2, cp)
+        _, _, gap = chain_identity_check(e12, ch1, ch2, strat)
         assert gap <= 1e-9
 
     def test_unconditioned_special_case(self):
@@ -224,11 +231,11 @@ class TestChainIdentity:
         lhs, rhs, gap = chain_identity_check(e12, ch1, ch2, cp)
         assert gap <= 1e-9
         # a single-outcome first stage contributes nothing
-        e2, p_b = second_stage_ensemble(e12, ch1, cp.first, 0, (2, 2))
+        e2, p_b = second_stage_ensemble(e12, ch1, cp.stage(()), 0, (2, 2))
         assert abs(p_b - 1.0) < 1e-10
         from chancap.channels import dual_povm
 
-        assert abs(lhs - mutual_information(e2, dual_povm(ch2, cp.second[0]))) < 1e-9
+        assert abs(lhs - mutual_information(e2, dual_povm(ch2, cp.stage((0,))))) < 1e-9
 
     def test_appendix_equivalence_with_classical_table(self):
         # the three-variable classical table from the flattened dual POVM
@@ -237,8 +244,8 @@ class TestChainIdentity:
 
         for seed in range(50):
             ch1, ch2, e12, cp = random_adaptive_instance(700 + seed)
-            f1 = dual_povm(ch1, cp.first)
-            f2 = [dual_povm(ch2, m) for m in cp.second]
+            f1 = dual_povm(ch1, cp.stage(()))
+            f2 = [dual_povm(ch2, cp.stage((b,))) for b in range(2)]
             table = np.zeros((len(e12), 2, 2))
             for j, (pj, s) in enumerate(zip(e12.probs, e12.states)):
                 for b in range(2):
@@ -261,7 +268,7 @@ class TestChainIdentity:
             lhs, _, _ = chain_identity_check(e12, ch1, ch2, cp)
             from chancap.channels import dual_povm
 
-            first_info = mutual_information(first_stage_ensemble(e12, (2, 2)), dual_povm(ch1, cp.first))
+            first_info = mutual_information(first_stage_ensemble(e12, (2, 2)), dual_povm(ch1, cp.stage(())))
             c2 = shannon_capacity(ch2, QUICK).value
             assert lhs <= first_info + c2 + 1e-3
 
@@ -361,10 +368,10 @@ class TestDualConditional:
         from chancap.channels import dual_apply
 
         np.testing.assert_allclose(
-            dual.stage(()).elements[0], dual_apply(ch1, cp.first.elements[0]), atol=1e-12
+            dual.stage(()).elements[0], dual_apply(ch1, cp.stage(()).elements[0]), atol=1e-12
         )
         np.testing.assert_allclose(
-            dual.stage((1,)).elements[0], dual_apply(ch2, cp.second[1].elements[0]), atol=1e-12
+            dual.stage((1,)).elements[0], dual_apply(ch2, cp.stage((1,)).elements[0]), atol=1e-12
         )
 
     def test_depth_mismatch(self):

@@ -435,12 +435,19 @@ def test_shape_mismatch_names_element(make):
     assert " 2 has shape (3, 3)" in str(err.value)
 
 
-def test_public_tuples_are_read_only_views():
+def test_public_fields_are_read_only_stacks():
     rng = np.random.default_rng(5)
     m = random_povm(3, 3, rng)
     ens = random_ensemble(3, 2, rng)
     ch = random_channel(3, 2, seed=5)
-    for items in (m.elements, ens.states, ch.kraus):
-        assert isinstance(items, tuple)
-        assert all(not x.flags.writeable for x in items)
-        assert all(x.base is items[0].base for x in items)
+    joint = joint_block_state(ch, ens, m)
+    fields = [(m.elements, 3), (ens.states, 2), (ch.kraus, 2), (joint.blocks, 6)]
+    for field, n in fields:
+        assert type(field) is np.ndarray and field.shape == (n, 3, 3) and field.dtype == complex
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0, 0, 0] = 0.0
+    source = np.array(m.elements)  # the constructor copies: a later write to its input changes nothing
+    rebuilt = Povm(source)
+    source[0] = 0.0
+    np.testing.assert_array_equal(rebuilt.elements, m.elements)
