@@ -40,7 +40,7 @@ from .information import Ensemble, PROB_FLOOR, mutual_information
 from .linalg import ATOL_COMPLETENESS, hermitize, partial_trace, tensor, tensor_pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveStrategy:
     """Depth-n adaptive measurement tree.
 

@@ -16,7 +16,7 @@ from .errors import DimensionMismatchError, InvariantViolation
 from .linalg import ATOL_PSD, _dagger, _raise_first, entropy, frozen_stack, relative_entropy, shannon_entropy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDiagonalState:
     """Direct sum of PSD blocks indexed by classical label tuples.
 

@@ -13,16 +13,17 @@ unconstrained parameters, at every dimension: Bloch angles or normalised
 vectors for pure signals, the polar factor of a complex matrix for the POVM,
 and a a^dag for the input.  Each block objective returns its value with the
 gradient pulled back through these maps in reverse mode, and every block is
-one L-BFGS-B solve on that gradient.  L-BFGS-B stops at once when started
-exactly at a stationary point, such as equatorial signals under a z-basis
-readout; the other restarts cover that case.
+one solve of the module's own L-BFGS (``minimize``) on that gradient.  The
+solver stops at once when started exactly at a stationary point, such as
+equatorial signals under a z-basis readout; the other restarts cover that
+case.
 
 The searches with inner weights (Shannon, fixed-measurement, Holevo and the
 adaptive one) sweep: each sweep solves the blocks at the last exact weights,
 then re-solves the weights, until a sweep gains less than the tolerance.
 The Shannon search solves all its parameters in one block per sweep.  The
 measured-input search has no inner weights, so its objective never changes
-and each restart is one joint L-BFGS-B solve, repeated only while a solve
+and each restart is one joint L-BFGS solve, repeated only while a solve
 stops at its evaluation cap; its ``converged`` is the solver's own stop.
 Each restart ends with a tighter weight solve started from the restart's
 last weights (the adaptive search starts it cold).
@@ -31,6 +32,7 @@ last weights (the adaptive search starts it cold).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,7 +79,7 @@ class OptimizerConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacityResult:
     """Best feasible point found, with the objective value it achieves."""
 
@@ -269,7 +271,7 @@ def _binary_capacity(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
 # their pull-back: a callable taking a gradient g in them (dL = Re sum
 # conj(g) dz) to the gradient in the parameters (a vector-Jacobian product).
 # Where a helper takes a fallback (degenerate parameters) its pull-back
-# returns zeros, so L-BFGS-B stops there.
+# returns zeros, so the L-BFGS solve stops there.
 
 def _complex_params(z: np.ndarray) -> np.ndarray:
     """Parameters (real parts, then imaginary parts) of a complex matrix."""
@@ -582,35 +584,178 @@ def _bloch_of_angles(x: np.ndarray):
 # Local search
 # ---------------------------------------------------------------------------
 
-# Settings of every L-BFGS-B block solve; the block's evaluation budget caps each solve.
-_LBFGSB_OPTIONS = {"ftol": 1e-12, "gtol": 1e-9}
+# Stopping tests of every block solve (the block's evaluation budget caps each
+# solve): a relative reduction of at most _FTOL, a largest slope of at most
+# _GTOL.  The line search's strong Wolfe constants, its evaluation cap and the
+# relative bracket width at which it takes its best point.  The number of
+# (step, gradient change) pairs the solver keeps, L-BFGS-B's default.
+_FTOL, _GTOL = 1e-12, 1e-9
+_C1, _C2, _LS_MAXFEV, _XTOL = 1e-3, 0.9, 20, 0.1
+_MEMORY = 10
+_EPS = float(np.finfo(float).eps)
 
 
-def minimize(fun, x0, **options):
-    """``scipy.optimize.minimize``, imported on first use: scipy.optimize
-    takes about 50 MB of resident memory, which a process that only
-    evaluates information functionals never needs."""
-    from scipy.optimize import minimize as scipy_minimize
+def _mt_step(x, t, sign_change: bool) -> float:
+    """Next trial of Moré and Thuente's ``dcstep`` between bracket ends x and t,
+    each (step, psi, psi'): case 1 (t higher than x: the cubic's minimiser, or
+    halfway to the quadratic's when that lies nearer x) or case 2 (x higher,
+    psi' changes sign: the cubic's or the secant's minimiser, the farther from
+    t).  NaN where the formulas divide by zero."""
+    (ax, fx, gx), (at, ft, gt) = x, t
+    try:
+        theta = 3.0 * (fx - ft) / (at - ax) + gx + gt
+        s = max(abs(theta), abs(gx), abs(gt))
+        gamma = s * math.sqrt(max(0.0, (theta / s) * (theta / s) - (gx / s) * (gt / s)))
+        if not sign_change:
+            gamma = -gamma if at < ax else gamma
+            cubic = ax + (gamma - gx + theta) / (gamma - gx + gamma + gt) * (at - ax)
+            quad = ax + gx / ((fx - ft) / (at - ax) + gx) / 2.0 * (at - ax)
+            return cubic if abs(cubic - ax) < abs(quad - ax) else cubic + (quad - cubic) / 2.0
+        gamma = -gamma if at > ax else gamma
+        cubic = at + (gamma - gt + theta) / (gamma - gt + gamma + gx) * (ax - at)
+        secant = at + gt / (gt - gx) * (ax - at)
+        return cubic if abs(cubic - at) > abs(secant - at) else secant
+    except ZeroDivisionError:
+        return math.nan
 
-    return scipy_minimize(fun, x0, **options)
+
+def _line_search(fun, x, f0: float, dg0: float, d, step: float, budget: int):
+    """Step along the descent direction ``d`` that meets the strong Wolfe
+    conditions, within ``budget`` evaluations of ``fun`` at x + a d.
+
+    Works on psi(a) = f(x + a d) - f0 - _C1 a f'(0), as Moré and Thuente do.
+    The best point ``lo`` (least psi, 0 at first) and the other end ``hi`` of a
+    bracket of a minimiser of psi are (step, psi, psi').  A trial higher than
+    ``lo`` becomes ``hi``; a lower one becomes ``lo``, its former ``lo``
+    becoming ``hi`` where psi' changes sign.  A trial with a non-finite value
+    or slope becomes a ``hi`` without values, so the next trial backtracks
+    halfway to ``lo``.  Before there is a bracket the step grows fourfold;
+    inside one, it is ``_mt_step``'s, bisected when the bracket has not shrunk
+    by a third over two trials, and the search takes ``lo`` once the bracket
+    is within ``_XTOL`` of its far end, or after ``_LS_MAXFEV`` trials.
+
+    Returns (step, value, gradient, evaluations, status): the Wolfe point, or
+    else ``lo`` (step 0 when nothing decreased psi); status 1 when the budget
+    ended the search, else 0 when the step is positive and 2 when it is 0.
+    """
+    lo, lo_f, lo_g, hi = (0.0, 0.0, (1.0 - _C1) * dg0), f0, None, None
+    width = width1 = math.inf
+    a, used, limit = step, 0, min(budget, _LS_MAXFEV)
+    while used < limit:
+        f, g = fun(x + a * d)
+        used += 1
+        f, dg = float(f), float(g @ d)
+        psi = f - f0 - _C1 * a * dg0
+        sign_change = False
+        if not (math.isfinite(psi) and math.isfinite(dg)):
+            hi = (a, None, None)
+        elif psi <= 0.0 and abs(dg) <= -_C2 * dg0:
+            return a, f, g, used, 0
+        elif psi > lo[1]:
+            hi = (a, psi, dg - _C1 * dg0)
+        else:
+            trial = (a, psi, dg - _C1 * dg0)
+            if trial[2] * (a - lo[0]) >= 0.0:
+                hi, sign_change = lo, True
+            lo, lo_f, lo_g = trial, f, g
+        if hi is None:  # psi still falls at the last trial, which is lo
+            a *= 4.0
+            continue
+        span = abs(hi[0] - lo[0])
+        if span <= _XTOL * max(hi[0], lo[0]):
+            break
+        a = math.nan if hi[1] is None else _mt_step(hi, lo, True) if sign_change else _mt_step(lo, hi, False)
+        if span >= 0.66 * width1 or not min(lo[0], hi[0]) < a < max(lo[0], hi[0]):
+            a = lo[0] + 0.5 * (hi[0] - lo[0])
+        width1, width = width, span
+    else:
+        if used == budget:
+            return lo[0], lo_f, lo_g, used, 1
+    return lo[0], lo_f, lo_g, used, 0 if lo[0] > 0.0 else 2
+
+
+def minimize(fun, x0, maxfev: int):
+    """Local minimiser of ``fun`` from ``x0``, within ``maxfev`` >= 1 evaluations.
+
+    ``fun`` returns (value, gradient).  L-BFGS with the last ``_MEMORY``
+    pairs (s, y) of steps and gradient changes: the first step along -g is
+    1/|g| long, later ones start at 1 along -H g, with the strong Wolfe
+    ``_line_search``; H g comes from the two-loop recursion over the pairs,
+    with H0 the identity scaled by s.y / y.y of the newest pair, and a pair
+    with s.y <= eps y.y is not kept.  Memory and work per iteration are
+    O(_MEMORY n) for n parameters.  Where -H g is no descent direction, or
+    its line search finds no decrease, the pairs are dropped.
+
+    Returns (x, f, status).  Status 0: the largest slope is at most
+    ``_GTOL``, or an iteration reduced f by at most ``_FTOL`` times
+    max(|f| before, |f| after, 1).  Status 1: the evaluation cap ended the
+    solve (it is never exceeded).  Status 2: a steepest-descent line search
+    found no decrease.  Non-finite trials are never taken, so a start with a
+    non-finite value or slope returns ``x0``.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    f, nfev, pairs, gamma = float(f), 1, [], 1.0
+    if not math.isfinite(f):
+        return x, f, 2
+    while not np.abs(g).max() <= _GTOL:
+        if nfev >= maxfev:
+            return x, f, 1
+        d = -g if not pairs else -_two_loop(g, pairs, gamma)
+        dg0 = float(g @ d)
+        if not -math.inf < dg0 < 0.0:
+            if not pairs:
+                return x, f, 2
+            pairs = []
+            continue
+        a, f_new, g_new, used, status = _line_search(
+            fun, x, f, dg0, d, 1.0 if pairs else 1.0 / math.sqrt(-dg0), maxfev - nfev
+        )
+        nfev += used
+        if a == 0.0:
+            if status == 2 and pairs:
+                pairs = []
+                continue
+            return x, f, status
+        s, y = a * d, g_new - g
+        x, f_old, f, g = x + s, f, f_new, g_new
+        if status == 1:
+            return x, f, 1
+        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            return x, f, 0
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > _EPS * yy:
+            pairs, gamma = (pairs + [(s, y, 1.0 / sy)])[-_MEMORY:], sy / yy
+    return x, f, 0
+
+
+def _two_loop(g, pairs, gamma: float):
+    """H g of L-BFGS for the pairs (s, y, 1 / s.y), oldest first, from H0 = gamma I."""
+    q, alphas = g.copy(), []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    q *= gamma
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
 
 
 def _maximize(fun, x0: np.ndarray, maxfev: int):
-    """Local maximiser of ``fun`` from ``x0`` by L-BFGS-B, within ``maxfev`` evaluations.
+    """Local maximiser of ``fun`` from ``x0`` by L-BFGS (``minimize``), within ``maxfev`` evaluations.
 
     ``fun`` returns (value, gradient).  Returns (x, value at x, stopped),
-    where ``stopped`` says that L-BFGS-B ended on its own tests rather than
-    at the evaluation cap.  A non-finite result returns ``x0`` and its value.
+    where ``stopped`` says that the solver ended on its own tests rather than
+    at the evaluation cap.  A non-finite value or slope at the start returns
+    ``x0`` and its value.
     """
     def negated(v):
         value, grad = fun(v)
         return -value, -grad
 
-    x0 = np.asarray(x0, dtype=float)
-    res = minimize(negated, x0, jac=True, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, "maxfun": int(maxfev)})
-    if not np.all(np.isfinite(res.x)):
-        return x0, fun(x0)[0], res.status != 1
-    return res.x, -float(res.fun), res.status != 1
+    x, f, status = minimize(negated, x0, maxfev)
+    return x, -f, status != 1
 
 
 def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param: int = 60):
@@ -667,7 +812,7 @@ def _search(cfg: OptimizerConfig, value, blocks, start, finish, ceiling: float =
     - ``value(x, w)`` returns (sweep value, inner weights) at parameters x,
       where w holds the weights of the restart's last call (None at its first).
       A search without inner weights passes None: it has one block, and each
-      restart is its L-BFGS-B solve (see ``_block_ascent``).
+      restart is its L-BFGS solve (see ``_block_ascent``).
     - ``blocks`` are (slice, make) pairs: ``make(x, w)`` returns the block's
       objective (see ``_block_ascent``) at the last weights, floored by
       ``_block_weights`` (None while there are none).

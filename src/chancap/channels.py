@@ -33,7 +33,7 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operator valued measurement: PSD elements summing to identity.
 
@@ -70,7 +70,7 @@ class Povm:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """CPTP map held as a Kraus family; immutable after construction.
 

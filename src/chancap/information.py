@@ -34,7 +34,7 @@ from .linalg import (
 PROB_FLOOR = 1e-12  # outcomes or weights at or below this contribute 0 to all sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Probability weights paired with signal states of one common dimension.
 

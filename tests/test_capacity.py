@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -716,7 +718,7 @@ class TestSearch:
         best, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (next(ranks), (next(results), conv)))
         assert best == (1, True) and runs == 5  # the first of the equal best ranks, and converged sweeps
 
-    # Without inner weights (``value=None``) a restart is its one block's L-BFGS-B solve.
+    # Without inner weights (``value=None``) a restart is its one block's L-BFGS solve.
 
     SCALES = np.array([1.0, 2.0, 3.0, 4.0])  # -sum_i c_i (x_i - 1)^2: at 8 evaluations a solve from 0 stops at the cap
 
@@ -813,6 +815,101 @@ def _spied(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, spy)
     return log, solve
+
+
+def _rosenbrock(v):
+    x, y = v
+    return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2, np.array([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x)])
+
+
+class TestMinimize:
+    """``capacity.minimize``, the L-BFGS solver behind every block solve, on problems with known answers."""
+
+    @staticmethod
+    def counted(fun):
+        """``fun`` and the list of points it is called at."""
+        calls = []
+
+        def wrapped(v):
+            calls.append(np.array(v))
+            return fun(v)
+
+        return wrapped, calls
+
+    # The solver keeps L-BFGS-B's stops, and the relative-reduction stop
+    # (1e-12 of max(|f|, 1)) ends most solves before the slope test (1e-9)
+    # fires.  What a solve guarantees is therefore a value within about 1e-12
+    # of a minimum; the slope left there depends on the last iterates (up to
+    # about 1e-5 on the problems below, and at most 1e-9 on a third of them).
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_problems_reach_the_minimum(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 11):  # a random positive definite quadratic with its minimum 0 at a random point
+            m = rng.normal(size=(n, n))
+            a, centre = m @ m.T / n + 0.1 * np.eye(n), rng.normal(size=n)
+            x, f, status = cap.minimize(lambda v: (0.5 * (v - centre) @ a @ (v - centre), a @ (v - centre)), rng.normal(size=n), 2000)
+            assert status == 0 and f <= 1e-11
+            np.testing.assert_allclose(x, centre, atol=1e-5)
+        for _ in range(10):  # Rosenbrock from random starts
+            x, f, status = cap.minimize(_rosenbrock, rng.normal(scale=1.5, size=2), 2000)
+            assert status == 0 and f == _rosenbrock(x)[0] <= 1e-11
+            np.testing.assert_allclose(x, 1.0, atol=1e-5)
+
+    def test_rosenbrock_from_the_usual_start(self):
+        fun, calls = self.counted(_rosenbrock)
+        x, f, status = cap.minimize(fun, np.array([-1.2, 1.0]), 200)
+        assert status == 0 and len(calls) <= 60 and f <= 1e-11
+        np.testing.assert_allclose(x, 1.0, atol=1e-5)
+
+    def test_joint_block_of_thousands_of_parameters(self):
+        # caps of 256 on a 4 -> 4 channel: one Shannon block of 2*4*256 signal and 2*256*4 POVM
+        # parameters; the solver keeps O(n) numbers per memory pair, where an n x n matrix would be 134 MB
+        cfg = OptimizerConfig(restarts=1, max_iters=1, tol=1e-6, seed=0, ensemble_size_cap=256, povm_size_cap=256)
+        ch = random_channel(4, 2, seed=1)
+        assert n_state_params(4, 256) + n_povm_params(4, 256) == 4096
+        tracemalloc.start()
+        try:
+            result = shannon_capacity(ch, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert 0.0 < result.value <= 2.0 and len(result.argmax_ensemble.states) == len(result.argmax_povm) == 256
+
+    def test_cap_is_never_exceeded(self):
+        full, calls = self.counted(_rosenbrock)
+        x_full, _, status = cap.minimize(full, np.array([-1.2, 1.0]), 1000)
+        n_full = len(calls)
+        assert status == 0
+        for maxfev in range(1, n_full + 3):
+            fun, calls = self.counted(_rosenbrock)
+            x, f, status = cap.minimize(fun, np.array([-1.2, 1.0]), maxfev)
+            assert len(calls) <= maxfev
+            assert status == (1 if maxfev < n_full else 0)  # the cap ended the solve exactly when it was below the need
+            assert len(calls) == (maxfev if status == 1 else n_full)
+            assert f == _rosenbrock(x)[0]  # the returned point was evaluated
+            if status == 0:
+                np.testing.assert_array_equal(x, x_full)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_trial_backtracks(self, bad):
+        # the first step (length 1 from 0) lands where the value is not finite
+        def fun(v):
+            return (float(np.sum((v - 0.4) ** 2)) if np.all(v <= 0.5) else bad), 2.0 * (v - 0.4)
+
+        fun, calls = self.counted(fun)
+        x, f, status = cap.minimize(fun, np.zeros(2), 100)
+        assert np.all(calls[1] > 0.5)  # the non-finite trial was made
+        assert status == 0 and np.isfinite(f) and np.all(np.isfinite(x))
+        np.testing.assert_allclose(x, 0.4, atol=1e-9)
+
+    def test_stationary_start_returns_after_one_evaluation(self):
+        fun, calls = self.counted(lambda v: (float(np.sum(np.cos(v))), -np.sin(v)))
+        x0 = np.zeros(3)
+        x, f, status = cap.minimize(fun, x0, 100)
+        assert len(calls) == 1 and status == 0 and f == 3.0
+        np.testing.assert_array_equal(x, x0)
 
 
 class TestWarmFinalSolves:
@@ -1075,7 +1172,7 @@ class TestBlochGradients:
         np.testing.assert_allclose(grad.ravel()[kept], flat[kept], atol=1e-8)
 
     def test_degenerate_parameters_pull_back_zeros(self):
-        # the fallbacks report no slope, so L-BFGS-B stops there, and stay feasible
+        # the fallbacks report no slope, so the BFGS solve stops there, and stay feasible
         rng = np.random.default_rng(30)
         for dim, n_out in ((2, 4), (3, 4), (4, 5)):
             x = rng.normal(size=n_povm_params(dim, n_out))
@@ -1113,7 +1210,7 @@ class TestBlochGradients:
         "estimator, dims, n_params", JOINT_BLOCKS, ids=[f"{e.__name__}-{n}" for e, _, n in JOINT_BLOCKS]
     )
     def test_one_joint_solve_per_sweep(self, monkeypatch, estimator, dims, n_params):
-        # every sweep is one L-BFGS-B call over all the parameters at the usual
+        # every sweep is one BFGS solve over all the parameters at the usual
         # budget, on an objective that returns its gradient: no split blocks,
         # and no call after the last sweep; the measured-input search has no
         # weights, so each of its restarts is one solve and takes no sweep value
@@ -1132,7 +1229,7 @@ class TestBlochGradients:
             assert np.isfinite(value) and grad.shape == x0.shape and np.all(np.isfinite(grad))
 
     def test_maximize_keeps_start_on_non_finite_result(self):
-        # L-BFGS-B returns NaN when a value and slope of 1e308 overflow inside it
+        # a slope of 1e308 overflows the descent test, so the solve takes no step
         x0 = np.array([1.0 - 1e-9, -0.2])
 
         def overflowing(v):

@@ -27,6 +27,7 @@ from chancap.blocks import (
     reduction,
     scaled_block_state,
 )
+from chancap.capacity import CapacityResult, OptimizerConfig
 from chancap.channels import Povm, QuantumChannel, apply, dual_apply, dual_povm, random_channel
 from chancap.errors import DimensionMismatchError, InvariantViolation, SupportError
 from chancap.information import (
@@ -451,3 +452,24 @@ def test_public_fields_are_read_only_stacks():
     rebuilt = Povm(source)
     source[0] = 0.0
     np.testing.assert_array_equal(rebuilt.elements, m.elements)
+
+
+def test_containers_compare_by_identity():
+    # the array-holding containers compare and hash by identity; equal contents
+    # give False rather than numpy's ambiguous-truth ValueError
+    rng = np.random.default_rng(6)
+    ch = random_channel(2, 2, seed=6)
+    ens, m = random_ensemble(2, 2, rng), random_povm(2, 2, rng)
+    makers = [
+        lambda: Povm(m.elements),
+        lambda: QuantumChannel(ch.kraus),
+        lambda: Ensemble(ens.probs, ens.states),
+        lambda: joint_block_state(ch, ens, m),
+        lambda: AdaptiveStrategy(1, {(): m}),
+        lambda: CapacityResult(0.5, ens, m),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and not (a == b) and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+    assert OptimizerConfig(seed=3) == OptimizerConfig(seed=3) and hash(OptimizerConfig()) == hash(OptimizerConfig())
