@@ -21,10 +21,12 @@ case.
 The searches with inner weights (Shannon, fixed-measurement, Holevo and the
 adaptive one) sweep: each sweep solves the blocks at the last exact weights,
 then re-solves the weights, until a sweep gains less than the tolerance.
-The Shannon search solves all its parameters in one block per sweep.  The
-measured-input search has no inner weights, so its objective never changes
-and each restart is one joint L-BFGS solve, repeated only while a solve
-stops at its evaluation cap; its ``converged`` is the solver's own stop.
+A restart's solves of one block share the solver's curvature pairs, so a
+sweep resumes the curvature of the last.  The Shannon search solves all
+its parameters in one block per sweep.  The measured-input search has no
+inner weights, so its objective never changes and each restart is one
+joint L-BFGS solve, resumed only while it stops at its evaluation cap; its
+``converged`` is the solver's own stop.
 Each restart ends with a tighter weight solve started from the restart's
 last weights (the adaptive search starts it cold).
 """
@@ -674,7 +676,7 @@ def _line_search(fun, x, f0: float, dg0: float, d, step: float, budget: int):
     return lo[0], lo_f, lo_g, used, 0 if lo[0] > 0.0 else 2
 
 
-def minimize(fun, x0, maxfev: int):
+def minimize(fun, x0, maxfev: int, memory: list | None = None):
     """Local minimiser of ``fun`` from ``x0``, within ``maxfev`` >= 1 evaluations.
 
     ``fun`` returns (value, gradient).  L-BFGS with the last ``_MEMORY``
@@ -686,6 +688,11 @@ def minimize(fun, x0, maxfev: int):
     O(_MEMORY n) for n parameters.  Where -H g is no descent direction, or
     its line search finds no decrease, the pairs are dropped.
 
+    ``memory``, when given, is the caller's list of pairs (s, y, 1 / s.y),
+    oldest first: the solve starts from them (first step 1 along -H g), and
+    leaves its newest pairs in it (none where it drops them), for the next
+    solve of a nearby objective.  Without it a solve starts from -g.
+
     Returns (x, f, status).  Status 0: the largest slope is at most
     ``_GTOL``, or an iteration reduced f by at most ``_FTOL`` times
     max(|f| before, |f| after, 1).  Status 1: the evaluation cap ended the
@@ -695,9 +702,10 @@ def minimize(fun, x0, maxfev: int):
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
-    f, nfev, pairs, gamma = float(f), 1, [], 1.0
+    f, nfev, pairs = float(f), 1, [] if memory is None else memory
     if not math.isfinite(f):
         return x, f, 2
+    gamma = float(pairs[-1][0] @ pairs[-1][1]) / float(pairs[-1][1] @ pairs[-1][1]) if pairs else 1.0
     while not np.abs(g).max() <= _GTOL:
         if nfev >= maxfev:
             return x, f, 1
@@ -706,7 +714,7 @@ def minimize(fun, x0, maxfev: int):
         if not -math.inf < dg0 < 0.0:
             if not pairs:
                 return x, f, 2
-            pairs = []
+            pairs.clear()
             continue
         a, f_new, g_new, used, status = _line_search(
             fun, x, f, dg0, d, 1.0 if pairs else 1.0 / math.sqrt(-dg0), maxfev - nfev
@@ -714,7 +722,7 @@ def minimize(fun, x0, maxfev: int):
         nfev += used
         if a == 0.0:
             if status == 2 and pairs:
-                pairs = []
+                pairs.clear()
                 continue
             return x, f, status
         s, y = a * d, g_new - g
@@ -725,7 +733,7 @@ def minimize(fun, x0, maxfev: int):
             return x, f, 0
         sy, yy = float(s @ y), float(y @ y)
         if sy > _EPS * yy:
-            pairs, gamma = (pairs + [(s, y, 1.0 / sy)])[-_MEMORY:], sy / yy
+            pairs[:], gamma = (pairs + [(s, y, 1.0 / sy)])[-_MEMORY:], sy / yy
     return x, f, 0
 
 
@@ -742,19 +750,20 @@ def _two_loop(g, pairs, gamma: float):
     return q
 
 
-def _maximize(fun, x0: np.ndarray, maxfev: int):
+def _maximize(fun, x0: np.ndarray, maxfev: int, memory: list | None = None):
     """Local maximiser of ``fun`` from ``x0`` by L-BFGS (``minimize``), within ``maxfev`` evaluations.
 
-    ``fun`` returns (value, gradient).  Returns (x, value at x, stopped),
-    where ``stopped`` says that the solver ended on its own tests rather than
-    at the evaluation cap.  A non-finite value or slope at the start returns
+    ``fun`` returns (value, gradient); ``memory`` is ``minimize``'s list of
+    curvature pairs, here of -fun.  Returns (x, value at x, stopped), where
+    ``stopped`` says that the solver ended on its own tests rather than at
+    the evaluation cap.  A non-finite value or slope at the start returns
     ``x0`` and its value.
     """
     def negated(v):
         value, grad = fun(v)
         return -value, -grad
 
-    x, f, status = minimize(negated, x0, maxfev)
+    x, f, status = minimize(negated, x0, maxfev, memory)
     return x, -f, status != 1
 
 
@@ -773,20 +782,25 @@ def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param
     when there is none).  Returns the parameters, the best value and whether
     a stopping test (the sweep gain, or the solver's own) rather than
     ``cfg.max_iters`` ended the search.
+
+    Each block keeps its own L-BFGS pairs (``minimize``'s ``memory``) over
+    the call's solves: a sweep's objective moves only with the weights, and
+    a re-solve resumes the capped solve.  No pair carries between restarts.
     """
     x = np.array(x, dtype=float)
+    memories = [[] for _ in blocks]
     if sweep_value is None:
         ((part, make),) = blocks
         objective, value, stopped = make(x), None, False
         for _ in range(cfg.max_iters):
-            x[part], value, stopped = _maximize(objective, x[part], maxfev_per_param * len(x[part]))
+            x[part], value, stopped = _maximize(objective, x[part], maxfev_per_param * len(x[part]), memories[0])
             if stopped:
                 break
         return x, objective(x[part])[0] if value is None else value, stopped
     current = sweep_value(x)
     for _ in range(cfg.max_iters):
-        for part, make in blocks:
-            x[part] = _maximize(make(x), x[part], maxfev_per_param * len(x[part]))[0]
+        for (part, make), memory in zip(blocks, memories):
+            x[part] = _maximize(make(x), x[part], maxfev_per_param * len(x[part]), memory)[0]
         value = sweep_value(x)
         improved = value - current
         current = max(value, current)

@@ -98,15 +98,20 @@ def _read_channels(*paths: str) -> tuple[str, list]:
     return _digest(b"\n".join(blobs)), [load_channel(blob.decode("utf-8")) for blob in blobs]
 
 
+def _rounded(x) -> float:
+    """``x`` to 9 decimals, with no negative zero: reports do not carry the sign of a value that rounds to 0."""
+    return round(float(x), 9) + 0.0
+
+
 def _bloch_coordinates(state: np.ndarray) -> list[float]:
-    return [round(c, 9) for c in (2.0 * _pauli_form(state)[1]).tolist()]
+    return [_rounded(c) for c in (2.0 * _pauli_form(state)[1]).tolist()]
 
 
 def _povm_summary(m: Povm) -> list:
     if m.dim != 2:
         return [{"element": i, "trace": float(np.trace(e).real)} for i, e in enumerate(m.elements)]
     w0, w = _pauli_form(m.elements)
-    return [{"element": i, "w0": round(float(w0[i]), 9), "w": [round(c, 9) for c in w[i]]} for i in range(len(w))]
+    return [{"element": i, "w0": _rounded(w0[i]), "w": [_rounded(c) for c in w[i]]} for i in range(len(w))]
 
 
 def _ensemble_summary(ens) -> list:
@@ -114,7 +119,7 @@ def _ensemble_summary(ens) -> list:
     for p, s in zip(ens.probs, ens.states):
         if p < 1e-6:
             continue
-        entry = {"weight": round(float(p), 9)}
+        entry = {"weight": _rounded(p)}
         if s.shape[0] == 2:
             entry["bloch"] = _bloch_coordinates(s)
         out.append(entry)
@@ -133,7 +138,7 @@ def cmd_capacity(args, cfg: OptimizerConfig) -> tuple[str, list]:
             continue
         r = estimate(ch, cfg)
         values[name] = r.value
-        results.append(_result(estimate.__name__, round(r.value, 9)))
+        results.append(_result(estimate.__name__, _rounded(r.value)))
         if r.argmax_ensemble is not None:
             results.append(_result(f"{name}_argmax_ensemble", _ensemble_summary(r.argmax_ensemble)))
         if r.argmax_rho is not None and r.argmax_rho.shape[0] == 2:
@@ -143,7 +148,7 @@ def cmd_capacity(args, cfg: OptimizerConfig) -> tuple[str, list]:
     for name in ("holevo", "uep"):  # each bounds the Shannon capacity from above
         if "shannon" in values and name in values:
             ok = values["shannon"] <= values[name] + 1e-4
-            results.append(_result(f"ordering_shannon_le_{name}", round(values[name] - values["shannon"], 9), 1e-4, ok))
+            results.append(_result(f"ordering_shannon_le_{name}", _rounded(values[name] - values["shannon"]), 1e-4, ok))
     return digest, results
 
 
@@ -187,13 +192,13 @@ def cmd_additivity(args, cfg: OptimizerConfig) -> tuple[str, list]:
             raise ChannelSpecError("depth 2 takes one or two channel files")
         rep = additivity_experiment(channels[0], channels[-1], cfg)  # one file pairs with itself
         return digest, [
-            _result("capacity_1", round(rep.capacity_1, 9)),
-            _result("capacity_2", round(rep.capacity_2, 9)),
-            _result("capacity_sum", round(rep.capacity_sum, 9)),
-            _result("conditional_best", round(rep.conditional_best, 9)),
-            _result("product_strategy", round(rep.product_value, 9)),
-            _result("upper_bound", round(rep.capacity_sum - rep.conditional_best, 9), 1e-4, rep.upper_bound_ok()),
-            _result("lower_bound", round(rep.product_value - rep.capacity_sum, 9), 2e-3, rep.lower_bound_ok()),
+            _result("capacity_1", _rounded(rep.capacity_1)),
+            _result("capacity_2", _rounded(rep.capacity_2)),
+            _result("capacity_sum", _rounded(rep.capacity_sum)),
+            _result("conditional_best", _rounded(rep.conditional_best)),
+            _result("product_strategy", _rounded(rep.product_value)),
+            _result("upper_bound", _rounded(rep.capacity_sum - rep.conditional_best), 1e-4, rep.upper_bound_ok()),
+            _result("lower_bound", _rounded(rep.product_value - rep.capacity_sum), 2e-3, rep.lower_bound_ok()),
         ]
 
     if len(channels) != 1:
@@ -202,9 +207,9 @@ def cmd_additivity(args, cfg: OptimizerConfig) -> tuple[str, list]:
     single = shannon_capacity(channels[0], cfg)
     bound = 3.0 * single.value
     return digest, [
-        _result("single_copy_capacity", round(single.value, 9)),
-        _result("conditional_best_depth3", round(value, 9)),
-        _result("upper_bound", round(bound - value, 9), 2e-3, value <= bound + 2e-3),
+        _result("single_copy_capacity", _rounded(single.value)),
+        _result("conditional_best_depth3", _rounded(value)),
+        _result("upper_bound", _rounded(bound - value), 2e-3, value <= bound + 2e-3),
     ]
 
 
@@ -237,7 +242,7 @@ def cmd_sweep(args, cfg: OptimizerConfig) -> tuple[str, list]:
 
 def _csv_num(v):
     if isinstance(v, float):
-        return round(v, 9)
+        return _rounded(v)
     return v
 
 

@@ -725,14 +725,16 @@ class TestSearch:
     @classmethod
     def weightless(cls, monkeypatch, starts, log):
         """(blocks, start) of one block over all parameters; ``log`` records each ``_maximize`` call
-        with what it returned, and each objective call, marked by whether a solve is running."""
+        with what it returned, its curvature list and how many pairs that held at the call, and each
+        objective call, marked by whether a solve is running."""
         maximize, solving = cap._maximize, []
 
-        def spy(fun, x0, maxfev):
+        def spy(fun, x0, maxfev, memory=None):
             solving.append(True)
-            out = maximize(fun, x0, maxfev)
+            held = len(memory)
+            out = maximize(fun, x0, maxfev, memory)
             solving.pop()
-            log.append(("solve", out))
+            log.append(("solve", out, memory, held))
             return out
 
         def objective(v):
@@ -749,7 +751,9 @@ class TestSearch:
         cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, x))
         solves = [event[1] for event in log if event[0] == "solve"]
         assert len(solves) == 2 and all(stopped for *_, stopped in solves)
-        assert all(inside for kind, inside in log if kind == "eval")  # no evaluation outside the solves
+        assert all(event[1] for event in log if event[0] == "eval")  # no evaluation outside the solves
+        first, second = (event[2:] for event in log if event[0] == "solve")
+        assert first[0] is not second[0] and first[1] == second[1] == 0  # each restart starts without pairs
 
     def test_weightless_value_is_the_solves(self, monkeypatch):
         log, finished = [], []
@@ -775,6 +779,10 @@ class TestSearch:
             solves = [event[1] for event in log if event[0] == "solve"]
             assert [stopped for *_, stopped in solves] == [False] * (n_solves - 1) + [converged]
             assert result == (solves[-1][1], converged)
+            # a re-solve resumes the capped solve: the same curvature list, holding that solve's pairs
+            memories = [event[2] for event in log if event[0] == "solve"]
+            assert all(memory is memories[0] for memory in memories)
+            assert [event[3] > 0 for event in log if event[0] == "solve"] == [False] + [True] * (n_solves - 1)
             monkeypatch.undo()
 
     def test_weightless_without_solves_evaluates_start(self, monkeypatch):
@@ -802,6 +810,31 @@ class TestSearch:
         np.testing.assert_array_equal(drawn[0], best)
         np.testing.assert_array_equal(result, best)
         assert log == [("eval", False)] * 6  # five draws, then the start's value
+
+
+def test_two_block_sweeps_keep_one_memory_per_block(monkeypatch):
+    # the adaptive search sweeps a signal block and a strategy block of different sizes: each
+    # block's solves share one curvature list per restart, and never see the other block's pairs
+    log, maximize = [], cap._maximize
+
+    def recording(fun, x0, maxfev, memory=None):
+        log.append((len(x0), memory, {len(s) for s, *_ in memory}))
+        return maximize(fun, x0, maxfev, memory)
+
+    monkeypatch.setattr(cap, "_maximize", recording)
+    cfg = OptimizerConfig(restarts=2, max_iters=3, tol=1e-9, seed=4)
+    adaptive.best_conditional_information([amplitude_damping_channel(0.3)] * 2, cfg)
+    lists = []  # each distinct list, with the block sizes that used it
+    for size, memory, held in log:
+        assert held <= {size}  # only pairs of this block's length
+        seen = next((entry for entry in lists if entry[0] is memory), None)
+        if seen is None:
+            lists.append((memory, {size}))
+        else:
+            seen[1].add(size)
+    assert all(len(sizes) == 1 for _, sizes in lists)
+    assert len({size for size, *_ in log}) == 2 and len(lists) == 2 * cfg.restarts
+    assert any(held for *_, held in log)  # some solve started from its block's pairs
 
 
 def _spied(monkeypatch, module, name):
@@ -842,19 +875,67 @@ class TestMinimize:
     # of a minimum; the slope left there depends on the last iterates (up to
     # about 1e-5 on the problems below, and at most 1e-9 on a third of them).
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_problems_reach_the_minimum(self, seed):
-        rng = np.random.default_rng(seed)
-        for n in range(2, 11):  # a random positive definite quadratic with its minimum 0 at a random point
+    @staticmethod
+    def problems(rng):
+        """(fun, start, minimiser): random positive definite quadratics of 2-10 parameters with
+        their minimum 0 at a random point, then Rosenbrock from 10 random starts."""
+        out = []
+        for n in range(2, 11):
             m = rng.normal(size=(n, n))
             a, centre = m @ m.T / n + 0.1 * np.eye(n), rng.normal(size=n)
-            x, f, status = cap.minimize(lambda v: (0.5 * (v - centre) @ a @ (v - centre), a @ (v - centre)), rng.normal(size=n), 2000)
-            assert status == 0 and f <= 1e-11
+            out.append((lambda v, a=a, c=centre: (0.5 * (v - c) @ a @ (v - c), a @ (v - c)), rng.normal(size=n), centre))
+        out.extend((_rosenbrock, rng.normal(scale=1.5, size=2), np.ones(2)) for _ in range(10))
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_problems_reach_the_minimum(self, seed):
+        for fun, x0, centre in self.problems(np.random.default_rng(seed)):
+            x, f, status = cap.minimize(fun, x0, 2000)
+            assert status == 0 and f == fun(x)[0] <= 1e-11
             np.testing.assert_allclose(x, centre, atol=1e-5)
-        for _ in range(10):  # Rosenbrock from random starts
-            x, f, status = cap.minimize(_rosenbrock, rng.normal(scale=1.5, size=2), 2000)
-            assert status == 0 and f == _rosenbrock(x)[0] <= 1e-11
-            np.testing.assert_allclose(x, 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_solve_resumes_from_its_memory(self, seed):
+        # a solve stopped at the cap, then started again where it stopped with the pairs it left,
+        # meets the bound of a whole solve
+        for fun, x0, centre in self.problems(np.random.default_rng(seed)):
+            memory = []
+            x, f, status = cap.minimize(fun, x0, 5, memory)
+            assert status == 1 and 0 < len(memory) <= cap._MEMORY
+            x, f, status = cap.minimize(fun, x, 2000, memory)
+            assert status == 0 and f == fun(x)[0] <= 1e-11
+            np.testing.assert_allclose(x, centre, atol=1e-5)
+
+    def test_memory_holds_at_most_the_newest_curvature_pairs(self):
+        # one list through a chain of solves, as across sweeps: the objective moves between solves;
+        # at every evaluation the list holds at most _MEMORY pairs, each of positive curvature
+        rng = np.random.default_rng(7)
+        n, memory, sizes = 12, [], []
+        m = rng.normal(size=(n, n))
+        a = m @ m.T / n + 0.01 * np.eye(n)
+
+        def checked(centre):
+            def fun(v):
+                sizes.append(len(memory))
+                assert len(memory) <= cap._MEMORY
+                for s, y, rho in memory:
+                    assert float(s @ y) > cap._EPS * float(y @ y) and rho == 1.0 / float(s @ y)
+                u = v - centre
+                return 0.5 * u @ a @ u + 0.1 * np.sum(u**4), a @ u + 0.4 * u**3
+            return fun
+
+        x = rng.normal(size=n)
+        for shift in range(6):
+            x, f, status = cap.minimize(checked(np.full(n, 0.1 * shift)), x, 2000, memory)
+            assert status == 0 and len(memory) <= cap._MEMORY
+        assert max(sizes) == cap._MEMORY  # the cap on the list was reached, so it was tested
+
+    def test_without_memory_is_the_solver_with_a_fresh_list(self):
+        for fun, x0, _ in self.problems(np.random.default_rng(3)):
+            for maxfev in (5, 2000):
+                alone, fresh = cap.minimize(fun, x0, maxfev), cap.minimize(fun, x0, maxfev, [])
+                np.testing.assert_array_equal(alone[0], fresh[0])
+                assert alone[1:] == fresh[1:]
 
     def test_rosenbrock_from_the_usual_start(self):
         fun, calls = self.counted(_rosenbrock)
@@ -1074,9 +1155,9 @@ def _block_solves(monkeypatch, estimator, ch, cfg=OptimizerConfig(restarts=1, ma
     with a None for each sweep value taken between them."""
     log, maximize, ascent = [], cap._maximize, cap._block_ascent
 
-    def recording(fun, x0, maxfev):
+    def recording(fun, x0, maxfev, memory=None):
         log.append((fun, np.array(x0), maxfev))
-        return maximize(fun, x0, maxfev)
+        return maximize(fun, x0, maxfev, memory)
 
     def logged_ascent(blocks, sweep_value, *rest, **options):
         def value(*parts):

@@ -75,6 +75,23 @@ class TestCapacityCommand:
         povm_summary = result_value(report, "shannon_argmax_povm")
         assert all("w0" in entry and "w" in entry for entry in povm_summary)
 
+    def test_no_negative_zero(self, capsys, tmp_path):
+        # at the defaults, tiny negative coordinates and gaps of AD(0.5) round to zero
+        spec = tmp_path / "ad.json"
+        spec.write_text('{"kind": "amplitude-damping", "gamma": 0.5}')
+        code, report = run(capsys, ["capacity", str(spec), "--which", "all"])
+        assert code == EXIT_OK
+
+        def zeros(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [z for item in node for z in zeros(item)]
+            return [node] if isinstance(node, float) and node == 0.0 else []
+
+        assert zeros(report) and all(np.copysign(1.0, z) == 1.0 for z in zeros(report))
+        assert np.copysign(1.0, cli._rounded(-1e-12)) == 1.0
+
     def test_missing_file(self, capsys):
         assert main(["capacity", "/nonexistent.json"] + FAST) == EXIT_USAGE
 
