@@ -313,16 +313,12 @@ def best_conditional_information(
         xs = rng.normal(size=ns) if init_ensemble is None else _state_params_of(init_ensemble, dim_total, n_states)
         return np.concatenate([xs, _strategy_params_of(init_strategy)])
 
-    def finish(x, *_):  # cold, like the sweep solves
-        c, weights = blahut_arimoto(kernel(x), tol=1e-10, max_iters=3000)
-        return c, (Ensemble(weights, pure_states_from_params(x[:ns], dim_total, n_states)), x[ns:])
-
     (ens, xm), _ = _search(
         cfg,
-        lambda x, _: blahut_arimoto(kernel(x), tol=1e-9, max_iters=250),  # cold: warm starts move depth-3 values
+        lambda x, _: blahut_arimoto(kernel(x)),  # cold: warm starts move depth-3 values
         [(slice(ns), state_block), (slice(ns, None), lambda x, w: _strategy_information(w, moments_of(x[:ns])))],
         start,
-        finish,
+        lambda x, weights, _: (Ensemble(weights, pure_states_from_params(x[:ns], dim_total, n_states)), x[ns:]),
         maxfev_per_param=50,
     )
     strat = _strategy_from_params(xm, depth)
@@ -388,7 +384,7 @@ def product_strategy_value(
     states = _product_ensemble(r1, r2).states
     dual = Povm(tensor_pairs(dual_apply(ch1, r1.argmax_povm.elements), dual_apply(ch2, r2.argmax_povm.elements)))
     kern = _kernel(states, dual.elements)
-    _, weights = blahut_arimoto(kern, tol=1e-10, max_iters=3000)
+    _, weights = blahut_arimoto(kern)
     return mutual_information(Ensemble(weights, states), dual)
 
 

@@ -27,8 +27,9 @@ its parameters in one block per sweep.  The measured-input search has no
 inner weights, so its objective never changes and each restart is one
 joint L-BFGS solve, resumed only while it stops at its evaluation cap; its
 ``converged`` is the solver's own stop.
-Each restart ends with a tighter weight solve started from the restart's
-last weights (the adaptive search starts it cold).
+Each weight solve runs at its solver's one tolerance, so a restart's last
+sweep already holds its exact weights: the restarts are ranked by their
+last sweep values, and only the best one is built and re-evaluated.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def _warm_start(init_weights, n: int) -> np.ndarray | None:
 
 def blahut_arimoto(
     kernel: np.ndarray,
-    tol: float = 1e-9,
-    max_iters: int = 2000,
+    tol: float = 1e-10,
+    max_iters: int = 3000,
     full_output: bool = False,
     init_weights: np.ndarray | None = None,
 ):
@@ -191,7 +192,8 @@ def blahut_arimoto(
 
     A name kept for the API: the solver is ``_simplex_newton`` with gradient
     D_j = D(p(.|j) || q) and Hessian -K diag(1/q) K^T / ln 2, stopped once
-    the gap max_j D_j - sum_j r_j D_j falls below ``tol``.  ``init_weights``
+    the gap max_j D_j - sum_j r_j D_j falls below ``tol`` (every call in the
+    package keeps the defaults: 1e-10, within 3000 steps).  ``init_weights``
     start it when ``_warm_start`` accepts them; otherwise a cold start is
     uniform on the n_out + 1 rows of largest D_j at uniform weights (all rows
     when there are no more), plus rows until every output some row reaches
@@ -779,8 +781,9 @@ def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param
     does not change between solves, so the search is one solve, followed by
     another only while a solve stops at its evaluation cap, up to
     ``cfg.max_iters`` solves; its value is the last solve's (the start's
-    when there is none).  Returns the parameters, the best value and whether
-    a stopping test (the sweep gain, or the solver's own) rather than
+    when there is none).  Returns the parameters, the value at them (the
+    last sweep value, even where that sweep lost ground) and whether a
+    stopping test (the sweep gain, or the solver's own) rather than
     ``cfg.max_iters`` ended the search.
 
     Each block keeps its own L-BFGS pairs (``minimize``'s ``memory``) over
@@ -797,16 +800,14 @@ def _block_ascent(x, sweep_value, blocks, cfg: OptimizerConfig, maxfev_per_param
             if stopped:
                 break
         return x, objective(x[part])[0] if value is None else value, stopped
-    current = sweep_value(x)
+    value = sweep_value(x)
     for _ in range(cfg.max_iters):
         for (part, make), memory in zip(blocks, memories):
             x[part] = _maximize(make(x), x[part], maxfev_per_param * len(x[part]), memory)[0]
-        value = sweep_value(x)
-        improved = value - current
-        current = max(value, current)
-        if improved < cfg.tol:
-            return x, current, True
-    return x, current, False
+        last, value = value, sweep_value(x)
+        if value - last < cfg.tol:
+            return x, value, True
+    return x, value, False
 
 
 # Least weight a signal carries into the block objectives: an exact weight
@@ -833,16 +834,17 @@ def _search(cfg: OptimizerConfig, value, blocks, start, finish, ceiling: float =
     - ``start(restart, rng, draw)`` returns the restart's start; ``draw(scales,
       n_draws)`` is the best of random normal draws of these per-entry scales
       under ``value``, or under the block objective when there is none.
-    - ``finish(x, value, converged, w)`` returns (rank, result) at the end of
-      a restart; w holds the restart's last weights, so that its final
-      weight solve can start from them.
+    - ``finish(x, w, converged)`` builds the result from the best restart's
+      parameters, the weights of its last ``value`` call (those at x, or
+      None without inner weights) and its ``converged`` flag.
 
-    Each restart draws from ``default_rng([cfg.seed, restart])``, and no
-    further restart runs once the best rank is within 1e-11 of ``ceiling``.
-    Returns the result of the best rank (the first of equals) and the number
-    of restarts run.
+    Each restart draws from ``default_rng([cfg.seed, restart])`` and is
+    ranked by the value ``_block_ascent`` returns; the first of equal values
+    is kept, and no further restart runs once it is within 1e-11 of
+    ``ceiling``.  Returns what ``finish``, called once, makes of the best
+    restart, and the number of restarts run.
     """
-    rng, weights, best = None, None, None  # the restart's generator and last weights, the best (rank, result)
+    rng, weights, best = None, None, None  # the restart's generator and last weights, the best (value, x, w, converged)
 
     def sweep_value(x):
         nonlocal weights
@@ -866,13 +868,13 @@ def _search(cfg: OptimizerConfig, value, blocks, start, finish, ceiling: float =
         return max((rng.normal(scale=scales) for _ in range(n_draws)), key=score)
 
     for restart in range(cfg.restarts):
-        if best is not None and best[0] >= ceiling - 1e-11:
-            return best[1], restart
         rng, weights = np.random.default_rng([cfg.seed, restart]), None
-        ranked = finish(*_block_ascent(start(restart, rng, draw), sweep_value, blocks, cfg, maxfev_per_param), weights)
-        if best is None or ranked[0] > best[0]:
-            best = ranked
-    return best[1], cfg.restarts
+        x, v, converged = _block_ascent(start(restart, rng, draw), sweep_value, blocks, cfg, maxfev_per_param)
+        if best is None or v > best[0]:
+            best = (v, x, weights, converged)
+        if best[0] >= ceiling - 1e-11:
+            break
+    return finish(*best[1:]), restart + 1
 
 
 _CANONICAL_ANGLES = {
@@ -966,18 +968,14 @@ def shannon_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult
             return np.concatenate([_state_inits(din, n_states, restart), _povm_inits(dout, n_out, rng, restart)])
         return draw(np.concatenate([np.full(ns, 1.5), np.ones(n_povm_params(dout, n_out))]))
 
-    def finish(cat, _, converged, w):
-        states = pure_states_from_params(cat[:ns], din, n_states)
-        elements = povm_elements_from_params(cat[ns:], dout, n_out)
-        kernel = _kernel(states, elements.reshape(n_out, -1) @ dual)
-        _, weights = blahut_arimoto(kernel, tol=1e-10, max_iters=3000, init_weights=w)
-        ensemble, povm = Ensemble(weights, states), Povm(elements)
-        value = channel_mutual_information(ch, ensemble, povm)
-        return value, CapacityResult(value, ensemble, povm, converged=converged)
+    def finish(cat, weights, converged):
+        ensemble = Ensemble(weights, pure_states_from_params(cat[:ns], din, n_states))
+        povm = Povm(povm_elements_from_params(cat[ns:], dout, n_out))
+        return CapacityResult(channel_mutual_information(ch, ensemble, povm), ensemble, povm, converged=converged)
 
     best, runs = _search(
         cfg,
-        lambda cat, w: blahut_arimoto(kernel_of(cat), tol=1e-9, max_iters=250, init_weights=w),
+        lambda cat, w: blahut_arimoto(kernel_of(cat), init_weights=w),
         [(slice(None), lambda _, w: _shannon_objective(dual, w, (din, dout), n_states, n_out))],
         start,
         finish,
@@ -995,18 +993,13 @@ def fixed_measurement_capacity(ch: QuantumChannel, m: Povm, cfg: OptimizerConfig
     din = ch.dim_in
     n_states = max(cfg.ensemble_size_cap, 2)
 
-    def finish(xs, _, converged, w):
-        states = pure_states_from_params(xs, din, n_states)
-        _, weights = blahut_arimoto(_kernel(states, effects), tol=1e-10, max_iters=3000, init_weights=w)
-        ensemble = Ensemble(weights, states)
-        value = channel_mutual_information(ch, ensemble, m)
-        return value, CapacityResult(value, ensemble, m, converged=converged)
+    def finish(xs, weights, converged):
+        ensemble = Ensemble(weights, pure_states_from_params(xs, din, n_states))
+        return CapacityResult(channel_mutual_information(ch, ensemble, m), ensemble, m, converged=converged)
 
     best, runs = _search(
         cfg,
-        lambda xs, w: blahut_arimoto(
-            _kernel(pure_states_from_params(xs, din, n_states), effects), tol=1e-9, max_iters=250, init_weights=w
-        ),
+        lambda xs, w: blahut_arimoto(_kernel(pure_states_from_params(xs, din, n_states), effects), init_weights=w),
         [(slice(None), lambda _, w: _signal_information(w, effects, din, n_states))],
         lambda restart, rng, draw: _signal_inits(din, n_states, restart, draw),
         finish,
@@ -1025,8 +1018,8 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
 
 def max_holevo_weights(
     outputs: np.ndarray,
-    tol: float = 1e-9,
-    max_iters: int = 600,
+    tol: float = 1e-11,
+    max_iters: int = 3000,
     init_weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Maximise chi over the weight simplex for fixed channel outputs, at any dimension.
@@ -1036,8 +1029,9 @@ def max_holevo_weights(
     more than 1e-9 of its trace lies off the average's support), and one
     ``eigh`` of the average gives the Hessian through the divided differences
     of log, over that support.  Stops once max_j g_j - chi falls below
-    ``tol``; ``init_weights`` start it as ``blahut_arimoto``'s do, and the
-    cold start is uniform.
+    ``tol`` (every call in the package keeps the defaults: 1e-11, within
+    3000 steps); ``init_weights`` start it as ``blahut_arimoto``'s do, and
+    the cold start is uniform.
     """
     outs = np.asarray(outputs, dtype=complex)
     s_each, traces = _entropy_stack(outs), np.einsum("jaa->j", outs).real
@@ -1074,15 +1068,13 @@ def holevo_capacity(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityResult:
         states = pure_states_from_params(xs_, din, n_states).reshape(n_states, -1)
         return (states @ channel).reshape(n_states, dout, dout)
 
-    def finish(xs, _, converged, w):
-        _, weights = max_holevo_weights(outputs_of(xs), tol=1e-11, max_iters=3000, init_weights=w)
+    def finish(xs, weights, converged):
         ensemble = Ensemble(weights, pure_states_from_params(xs, din, n_states))
-        value = holevo_information(ch, ensemble)
-        return value, CapacityResult(value, ensemble, converged=converged)
+        return CapacityResult(holevo_information(ch, ensemble), ensemble, converged=converged)
 
     best, runs = _search(
         cfg,
-        lambda xs, w: max_holevo_weights(outputs_of(xs), tol=1e-9, max_iters=250, init_weights=w),
+        lambda xs, w: max_holevo_weights(outputs_of(xs), init_weights=w),
         [(slice(None), lambda _, w: _holevo_objective(dual, w, (din, dout), n_states))],
         lambda restart, rng, draw: _signal_inits(din, n_states, restart, draw),
         finish,
@@ -1125,17 +1117,13 @@ def measured_input_bound(ch: QuantumChannel, cfg: OptimizerConfig) -> CapacityRe
             return np.concatenate([_complex_params(np.eye(din)), xm])
         return draw(np.concatenate([np.full(nr, 0.8), np.ones(n_povm_params(dout, n_out))]), n_draws=32)
 
-    (best_x, best_conv), runs = _search(
-        cfg,
-        None,
-        [(slice(None), lambda *_: joint)],
-        start,
-        lambda cat, value, converged, _: (value, (cat, converged)),
-        ceiling=np.log2(min(din, dout)),
-    )
-    rho = density_from_params(best_x[:nr], din)
-    povm = Povm(povm_elements_from_params(best_x[nr:], dout, n_out))
-    return CapacityResult(measured_input_information(ch, rho, povm), None, povm, frozen(rho), runs, best_conv)
+    def finish(cat, _, converged):
+        rho = density_from_params(cat[:nr], din)
+        povm = Povm(povm_elements_from_params(cat[nr:], dout, n_out))
+        return CapacityResult(measured_input_information(ch, rho, povm), None, povm, frozen(rho), converged=converged)
+
+    best, runs = _search(cfg, None, [(slice(None), lambda *_: joint)], start, finish, ceiling=np.log2(min(din, dout)))
+    return replace(best, restarts_used=runs)
 
 
 def _coarse_qubit_scan(ch: QuantumChannel, density: int = 10):
@@ -1250,7 +1238,7 @@ def qubit_grid_oracle(ch: QuantumChannel, grid_density: int, povm_arity: int = 2
                 dirs = np.zeros((3, 3))
                 for i, ang in enumerate(off + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])):
                     dirs[i, ax1], dirs[i, ax2] = np.cos(ang), np.sin(ang)
-                best = max(best, blahut_arimoto((1.0 + bloch_out @ dirs.T) / 3.0, tol=1e-9, max_iters=800)[0])
+                best = max(best, blahut_arimoto((1.0 + bloch_out @ dirs.T) / 3.0)[0])
     return best
 
 

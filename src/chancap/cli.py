@@ -109,7 +109,7 @@ def _bloch_coordinates(state: np.ndarray) -> list[float]:
 
 def _povm_summary(m: Povm) -> list:
     if m.dim != 2:
-        return [{"element": i, "trace": float(np.trace(e).real)} for i, e in enumerate(m.elements)]
+        return [{"element": i, "trace": _rounded(np.trace(e).real)} for i, e in enumerate(m.elements)]
     w0, w = _pauli_form(m.elements)
     return [{"element": i, "w0": _rounded(w0[i]), "w": [_rounded(c) for c in w[i]]} for i in range(len(w))]
 

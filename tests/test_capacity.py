@@ -27,6 +27,7 @@ from chancap.channels import (
     Povm,
     QuantumChannel,
     amplitude_damping_channel,
+    apply,
     basis_povm,
     bit_flip_channel,
     completely_noisy_channel,
@@ -45,7 +46,7 @@ from chancap.information import (
     measured_input_information,
     mutual_information,
 )
-from chancap.linalg import assert_density_matrix, shannon_entropy
+from chancap.linalg import assert_density_matrix, relative_entropy, shannon_entropy
 from chancap.rand import random_povm, random_unitary
 
 QUICK = OptimizerConfig(restarts=2, max_iters=4, tol=1e-6, seed=11)
@@ -660,9 +661,10 @@ class TestSearch:
     """``_search``, the estimators' restart loop, on a toy concave problem: -|x - 1|^2 in two blocks."""
 
     @staticmethod
-    def problem(starts, log):
+    def problem(starts, log, flat=False):
         """(value, blocks, start) of the toy problem; ``log`` records the starts, the weights each
-        value call takes and returns (a fresh pair per call), and the weights each block takes."""
+        value call takes and returns (a fresh pair per call), and the weights each block takes.
+        ``flat`` blocks have no slope, so their solves leave every restart at its start."""
         def value(x, w):
             out = np.array([0.0, len(log) + 1.0])
             log.append(("value", w, out))
@@ -671,6 +673,8 @@ class TestSearch:
         def make(part):
             def block(x, w):
                 log.append(("block", w))
+                if flat:
+                    return lambda v: (0.0, np.zeros_like(v))
                 return lambda v: (-float(np.sum((v - 1.0) ** 2)), -2.0 * (v - 1.0))
 
             return part, block
@@ -685,7 +689,7 @@ class TestSearch:
         log = []
         value, blocks, start = self.problem([None, np.zeros(4), None], log)
         cfg = OptimizerConfig(restarts=3, max_iters=2, tol=1e-9, seed=5)
-        cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (v, x))
+        cap._search(cfg, value, blocks, start, lambda x, w, conv: x)
         assert [event[1] for event in log if event[0] == "start"] == [0, 1, 2]
         last = None  # the weights of the restart's last value call: draws and sweeps both count
         for i, event in enumerate(log):
@@ -703,20 +707,50 @@ class TestSearch:
         log = []
         value, blocks, start = self.problem([np.zeros(4), np.ones(4), np.zeros(4), np.zeros(4)], log)
         cfg = OptimizerConfig(restarts=4, max_iters=0, tol=1e-9, seed=5)
-        result, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (v, (x, conv)), ceiling=0.0)
+        result, runs = cap._search(cfg, value, blocks, start, lambda x, w, conv: (x, conv), ceiling=0.0)
         assert runs == 2 and [event[1] for event in log if event[0] == "start"] == [0, 1]
         np.testing.assert_array_equal(result[0], np.ones(4))
         assert result[1] is False  # no sweep: the tolerance test never ran
-        _, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (v, x), ceiling=1.0)
+        _, runs = cap._search(cfg, value, blocks, start, lambda x, w, conv: x, ceiling=1.0)
         assert runs == 4
 
     def test_best_rank_wins(self):
-        value, blocks, start = self.problem([np.zeros(4)] * 5, [])
+        # restarts 1 and 3 tie at the best value: finish runs once, after every restart, on the first
+        # of them, with the weights of its last value call
+        log, finished = [], []
+        starts = [np.full(4, c) for c in (0.5, 1.0, -1.0, 1.0, 0.0)]
+        value, blocks, start = self.problem(starts, log, flat=True)
         cfg = OptimizerConfig(restarts=5, max_iters=3, tol=1e-9, seed=5)
-        ranks = iter([0.5, 2.0, -1.0, 2.0, 1.0])
-        results = iter(range(5))
-        best, runs = cap._search(cfg, value, blocks, start, lambda x, v, conv, w: (next(ranks), (next(results), conv)))
-        assert best == (1, True) and runs == 5  # the first of the equal best ranks, and converged sweeps
+
+        def finish(*args):
+            finished.append((*args, [event[1] for event in log if event[0] == "start"]))
+            return "result"
+
+        result, runs = cap._search(cfg, value, blocks, start, finish)
+        assert result == "result" and runs == 5
+        ((x, weights, converged, started),) = finished
+        assert started == list(range(5))
+        outs = [event[2] for event in log if event[0] == "value"]
+        assert len(outs) == 2 * cfg.restarts  # each restart: its start's value and one sweep's, which gains 0
+        np.testing.assert_array_equal(x, np.ones(4))
+        assert weights is outs[3] and converged is True
+
+    def test_block_ascent_returns_the_value_at_its_point(self):
+        # the block's target moves from 0.5 to 2.0 between sweeps: the first sweep gains, the second
+        # loses ground and ends the ascent; its value, not the best one seen, belongs to the point
+        targets = iter([0.5, 2.0])
+
+        def make(x):
+            t = next(targets)
+            return lambda v: (-float((v[0] - t) ** 2), -2.0 * (v - t))
+
+        def sweep_value(x):
+            return -float((x[0] - 0.5) ** 2)
+
+        cfg = OptimizerConfig(restarts=1, max_iters=5, tol=1e-9, seed=5)
+        x, value, converged = cap._block_ascent(np.zeros(1), sweep_value, [(slice(None), make)], cfg)
+        assert abs(x[0] - 2.0) < 1e-6 and converged is True
+        assert value == sweep_value(x) and value < -2.0
 
     # Without inner weights (``value=None``) a restart is its one block's L-BFGS solve.
 
@@ -748,7 +782,7 @@ class TestSearch:
         log = []
         blocks, start = self.weightless(monkeypatch, [np.zeros(4), np.full(4, 3.0)], log)
         cfg = OptimizerConfig(restarts=2, max_iters=4, tol=1e-9, seed=5)
-        cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, x))
+        cap._search(cfg, None, blocks, start, lambda x, w, conv: x)
         solves = [event[1] for event in log if event[0] == "solve"]
         assert len(solves) == 2 and all(stopped for *_, stopped in solves)
         assert all(event[1] for event in log if event[0] == "eval")  # no evaluation outside the solves
@@ -756,29 +790,29 @@ class TestSearch:
         assert first[0] is not second[0] and first[1] == second[1] == 0  # each restart starts without pairs
 
     def test_weightless_value_is_the_solves(self, monkeypatch):
+        # each restart is one solve stopped at its cap: the restarts are ranked by the solves' values
         log, finished = [], []
-        blocks, start = self.weightless(monkeypatch, [np.zeros(4), np.full(4, 3.0)], log)
-        cfg = OptimizerConfig(restarts=2, max_iters=4, tol=1e-9, seed=5)
-
-        def finish(x, value, converged, weights):
-            finished.append((x, value, converged, weights))
-            return value, x
-
-        cap._search(cfg, None, blocks, start, finish)
+        blocks, start = self.weightless(monkeypatch, [np.full(4, 3.0), np.zeros(4), np.full(4, -4.0)], log)
+        cfg = OptimizerConfig(restarts=3, max_iters=1, tol=1e-9, seed=5)
+        cap._search(cfg, None, blocks, start, lambda *args: finished.append(args), maxfev_per_param=1)
         solves = [event[1] for event in log if event[0] == "solve"]
-        for (x, value, _), (x_end, rank, converged, weights) in zip(solves, finished, strict=True):
-            np.testing.assert_array_equal(x_end, x)
-            assert rank == value and converged is True and weights is None
+        assert len(solves) == 3 and not any(stopped for *_, stopped in solves)
+        values = [value for _, value, _ in solves]
+        assert len(set(values)) == 3
+        ((x, weights, converged),) = finished
+        np.testing.assert_array_equal(x, solves[int(np.argmax(values))][0])
+        assert weights is None and converged is False
 
     def test_weightless_capped_solve_is_repeated(self, monkeypatch):
         for max_iters, n_solves, converged in ((1, 1, False), (4, 2, True)):
             log = []
             blocks, start = self.weightless(monkeypatch, [np.zeros(4)], log)
             cfg = OptimizerConfig(restarts=1, max_iters=max_iters, tol=1e-9, seed=5)
-            result, _ = cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, (v, conv)), maxfev_per_param=2)
+            result, _ = cap._search(cfg, None, blocks, start, lambda x, w, conv: (x, conv), maxfev_per_param=2)
             solves = [event[1] for event in log if event[0] == "solve"]
             assert [stopped for *_, stopped in solves] == [False] * (n_solves - 1) + [converged]
-            assert result == (solves[-1][1], converged)
+            np.testing.assert_array_equal(result[0], solves[-1][0])
+            assert result[1] is converged
             # a re-solve resumes the capped solve: the same curvature list, holding that solve's pairs
             memories = [event[2] for event in log if event[0] == "solve"]
             assert all(memory is memories[0] for memory in memories)
@@ -789,10 +823,13 @@ class TestSearch:
         log = []
         blocks, start = self.weightless(monkeypatch, [np.zeros(4)], log)
         cfg = OptimizerConfig(restarts=1, max_iters=0, tol=1e-9, seed=5)
-        result, _ = cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, (x, v, conv)))
+        result, _ = cap._search(cfg, None, blocks, start, lambda x, w, conv: (x, w, conv))
         assert log == [("eval", False)]
         np.testing.assert_array_equal(result[0], np.zeros(4))
-        assert result[1:] == (-float(self.SCALES.sum()), False)
+        assert result[1:] == (None, False)
+        ((part, make),) = blocks
+        x, value, converged = cap._block_ascent(np.zeros(4), None, [(part, lambda x: make(x, None))], cfg)
+        assert value == -float(self.SCALES.sum()) and converged is False
 
     def test_weightless_draws_score_with_block_objective(self, monkeypatch):
         log = []
@@ -804,7 +841,7 @@ class TestSearch:
             drawn.append(draw(np.ones(4), n_draws=5))
             return drawn[-1]
 
-        result, _ = cap._search(cfg, None, blocks, start, lambda x, v, conv, w: (v, x))
+        result, _ = cap._search(cfg, None, blocks, start, lambda x, w, conv: x)
         candidates = np.random.default_rng([5, 0]).normal(size=(5, 4))
         best = max(candidates, key=lambda v: -float(self.SCALES @ (v - 1.0) ** 2))
         np.testing.assert_array_equal(drawn[0], best)
@@ -994,13 +1031,10 @@ class TestMinimize:
 
 
 class TestWarmFinalSolves:
-    """Each restart's final exact weight solve starts from the weights of its last sweep value."""
+    """A restart's last sweep solve is its final weight solve: it starts from the weights of the
+    sweep before it, at the solver's defaults, and ``finish`` solves no weights again."""
 
-    FINAL = {  # estimator -> (weight solver, tolerance of its final solve)
-        "shannon": ("blahut_arimoto", 1e-10),
-        "fixed": ("blahut_arimoto", 1e-10),
-        "holevo": ("max_holevo_weights", 1e-11),
-    }
+    SOLVER = {"shannon": "blahut_arimoto", "fixed": "blahut_arimoto", "holevo": "max_holevo_weights"}
 
     @staticmethod
     def estimate(estimator, ch):
@@ -1010,28 +1044,83 @@ class TestWarmFinalSolves:
             return holevo_capacity(ch, QUICK)
         return fixed_measurement_capacity(ch, basis_povm(ch.dim_out), QUICK)
 
+    @staticmethod
+    def finishes(monkeypatch, module, log):
+        """Each ``finish`` call ``module``'s searches make, as (its arguments, the length of ``log``
+        before and after it)."""
+        calls, search = [], module._search
+
+        def spied(cfg, value, blocks, start, finish, **options):
+            def watched(*args):
+                before = len(log)
+                out = finish(*args)
+                calls.append((args, before, len(log)))
+                return out
+
+            return search(cfg, value, blocks, start, watched, **options)
+
+        monkeypatch.setattr(module, "_search", spied)
+        return calls
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2)])
     @pytest.mark.parametrize("estimator", ["shannon", "fixed", "holevo"])
     def test_final_solve_starts_warm(self, monkeypatch, estimator, dims):
         ch = _qubit_output_channel(3, 451) if dims == (3, 2) else _channel_of(dims, 451)
         assert (ch.dim_in, ch.dim_out) == dims
-        solver, tol = self.FINAL[estimator]
-        log, cold = _spied(monkeypatch, cap, solver)
+        log, cold = _spied(monkeypatch, cap, self.SOLVER[estimator])
+        finishes = self.finishes(monkeypatch, cap, log)
         result = self.estimate(estimator, ch)
         monkeypatch.undo()
-        finals = [i for i, (_, kwargs, _) in enumerate(log) if kwargs["tol"] == tol]
-        assert len(finals) == result.restarts_used
-        for i in finals:
-            (operand,), kwargs, (value, _) = log[i]
-            assert log[i - 1][1]["tol"] != tol and kwargs["init_weights"] is log[i - 1][2][1]
-            assert abs(value - cold(operand, tol=tol, max_iters=3000)[0]) < 1e-12
+        assert all(set(kwargs) == {"init_weights"} for _, kwargs, _ in log)  # the solver's own tolerance and cap
+        (((_, weights, _), before, after),) = finishes
+        assert before == after == len(log)  # one finish, after every restart, that solves nothing
+        (i,) = [i for i, (*_, out) in enumerate(log) if out[1] is weights]
+        (operand,), kwargs, (value, _) = log[i]
+        assert kwargs["init_weights"] is log[i - 1][2][1]  # warm from the sweep before
+        np.testing.assert_array_equal(result.argmax_ensemble.probs, weights)
+        assert abs(value - cold(operand)[0]) < 1e-12 and abs(value - result.value) < 1e-12
 
     def test_adaptive_final_solve_stays_cold(self, monkeypatch):
         log, _ = _spied(monkeypatch, adaptive, "blahut_arimoto")
-        adaptive.best_conditional_information([random_channel(2, 2, seed=452)] * 2, QUICK)
+        finishes = self.finishes(monkeypatch, adaptive, log)
+        _, ensemble, _ = adaptive.best_conditional_information([random_channel(2, 2, seed=452)] * 2, QUICK)
         monkeypatch.undo()
-        assert any(kwargs["tol"] == 1e-10 for _, kwargs, _ in log)
-        assert all(kwargs.get("init_weights") is None for _, kwargs, _ in log)
+        assert log and all(kwargs == {} for _, kwargs, _ in log)  # cold, at the solver's defaults
+        (((_, weights, _), before, after),) = finishes
+        assert before == after == len(log)
+        assert sum(out[1] is weights for *_, out in log) == 1
+        np.testing.assert_array_equal(ensemble.probs, weights)
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [amplitude_damping_channel(0.5), random_channel(2, 3, seed=453), random_channel(3, 2, seed=3)],
+    ids=["ad", "qubit-rank3", "qutrit"],
+)
+class TestExactWeights:
+    """The returned weights are exact: the KKT gap at the returned argmax is within the weight
+    solver's tolerance, so no solve after the last sweep could raise the value."""
+
+    @staticmethod
+    def kernel_gap(ch, result):
+        outs = apply(ch, result.argmax_ensemble.states)
+        kernel = np.einsum("jab,kba->jk", outs, result.argmax_povm.elements).real
+        probs = result.argmax_ensemble.probs
+        # no step: the gap max_j D_j - sum_j p_j D_j at the returned weights themselves
+        return blahut_arimoto(kernel, max_iters=0, init_weights=probs, full_output=True)[2]["gap"]
+
+    def test_shannon(self, ch):
+        assert self.kernel_gap(ch, shannon_capacity(ch, QUICK)) <= 1e-10
+
+    def test_fixed_measurement(self, ch):
+        assert self.kernel_gap(ch, fixed_measurement_capacity(ch, basis_povm(ch.dim_out), QUICK)) <= 1e-10
+
+    def test_holevo(self, ch):
+        result = holevo_capacity(ch, QUICK)
+        outs = apply(ch, result.argmax_ensemble.states)
+        average = np.einsum("j,jab->ab", result.argmax_ensemble.probs, outs)
+        radii = relative_entropy(outs, np.broadcast_to(average, outs.shape))
+        assert float(np.max(radii)) - result.value <= 1e-11
 
 
 MATRIX_DIMS = [(2, 2), (3, 3), (4, 4), (2, 3)]
@@ -1159,12 +1248,12 @@ def _block_solves(monkeypatch, estimator, ch, cfg=OptimizerConfig(restarts=1, ma
         log.append((fun, np.array(x0), maxfev))
         return maximize(fun, x0, maxfev, memory)
 
-    def logged_ascent(blocks, sweep_value, *rest, **options):
+    def logged_ascent(x, sweep_value, *rest, **options):
         def value(*parts):
             log.append(None)
             return sweep_value(*parts)
 
-        return ascent(blocks, None if sweep_value is None else value, *rest, **options)
+        return ascent(x, None if sweep_value is None else value, *rest, **options)
 
     monkeypatch.setattr(cap, "_maximize", recording)
     monkeypatch.setattr(cap, "_block_ascent", logged_ascent)

@@ -92,6 +92,25 @@ class TestCapacityCommand:
         assert zeros(report) and all(np.copysign(1.0, z) == 1.0 for z in zeros(report))
         assert np.copysign(1.0, cli._rounded(-1e-12)) == 1.0
 
+    def test_qutrit_report_is_rounded(self, capsys, tmp_path):
+        # every reported number but the wall time carries at most 9 decimals, the POVM traces of a
+        # qutrit channel's argmax included
+        spec = tmp_path / "qutrit.json"
+        spec.write_text(channel_to_json(random_channel(3, 2, seed=3)))
+        code, report = run(capsys, ["capacity", str(spec), "--which", "all"] + FAST)
+        assert code == EXIT_OK
+
+        def floats(node):
+            if isinstance(node, dict):
+                return [f for key, value in node.items() if key != "wall_time" for f in floats(value)]
+            if isinstance(node, list):
+                return [f for item in node for f in floats(item)]
+            return [node] if isinstance(node, float) else []
+
+        traces = [e["trace"] for r in report["results"] if r["name"].endswith("_argmax_povm") for e in r["value"]]
+        assert traces and "wall_time" in report
+        assert all(f == cli._rounded(f) for f in floats(report))
+
     def test_missing_file(self, capsys):
         assert main(["capacity", "/nonexistent.json"] + FAST) == EXIT_USAGE
 
